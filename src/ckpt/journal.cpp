@@ -3,11 +3,10 @@
 #include <cerrno>
 #include <cstring>
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/crc32.h"
+#include "common/durable.h"
 #include "common/fault.h"
 #include "common/log.h"
 
@@ -17,22 +16,6 @@ namespace ckpt {
 namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x4c4a4653; // "SFJL" little-endian
-
-bool
-writeAll(int fd, const std::uint8_t *data, std::size_t size)
-{
-    std::size_t off = 0;
-    while (off < size) {
-        const ssize_t n = ::write(fd, data + off, size - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 } // namespace
 
@@ -65,42 +48,18 @@ SweepJournal::append(const std::vector<Record> &records)
     tail.u32(crc);
     bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
 
-    std::size_t to_write = bytes.size();
-    if (fault::shouldFire(fault::Site::kCkptWrite)) {
-        to_write = static_cast<std::size_t>(
-            fault::param(fault::Site::kCkptWrite, bytes.size() / 2));
-        if (to_write > bytes.size())
-            to_write = bytes.size() / 2;
-        warn("ckpt: injected torn journal append (", to_write, " of ",
-             bytes.size(), " bytes): ", path_);
-    }
-
-    const int fd = ::open(path_.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        warn("ckpt: open(", path_, ") failed: ", std::strerror(errno));
+    const std::size_t to_write =
+        durable::tornLength(fault::Site::kCkptWrite, bytes.size(), path_);
+    const int fd = durable::openAppend(path_, {}, true);
+    if (fd < 0)
         return false;
-    }
-    struct stat st{};
-    const bool fresh = ::fstat(fd, &st) == 0 && st.st_size == 0;
-    const bool wrote = writeAll(fd, bytes.data(), to_write);
-    bool synced = wrote && ::fsync(fd) == 0;
-    ::close(fd);
+    const bool wrote = durable::writeAll(fd, bytes.data(), to_write);
     if (!wrote)
         warn("ckpt: journal append to ", path_,
              " failed: ", std::strerror(errno));
-    if (fresh && synced) {
-        // A freshly created journal must itself survive power loss.
-        const std::size_t slash = path_.rfind('/');
-        const std::string dir =
-            slash == std::string::npos ? "." : path_.substr(0, slash);
-        const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-        if (dfd >= 0) {
-            ::fsync(dfd);
-            ::close(dfd);
-        }
-    }
-    const bool ok = wrote && synced && to_write == bytes.size();
+    const bool synced = wrote && durable::syncFd(fd, path_);
+    ::close(fd);
+    const bool ok = synced && to_write == bytes.size();
     if (ok)
         stats_->journalAppends.fetch_add(1, std::memory_order_relaxed);
     return ok;
@@ -109,36 +68,19 @@ SweepJournal::append(const std::vector<Record> &records)
 std::uint64_t
 SweepJournal::replay(const std::function<void(const Record &)> &visit)
 {
-    const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
+    const auto file = durable::readFile(path_);
+    if (!file)
         return 0;
     if (fault::shouldFire(fault::Site::kCkptLoad)) {
-        ::close(fd);
         warn("ckpt: injected unreadable journal: ", path_);
         stats_->corruptSkipped.fetch_add(1, std::memory_order_relaxed);
         return 0;
     }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-        ::close(fd);
-        return 0;
-    }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n = ::read(fd, bytes.data() + off, bytes.size() - off);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            break;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
+    const std::vector<std::uint8_t> &bytes = *file;
 
     std::uint64_t visited = 0;
     std::size_t pos = 0;
-    while (pos + 8 <= off) {
+    while (pos + 8 <= bytes.size()) {
         Reader head(bytes.data() + pos, 8);
         if (head.u32() != kFrameMagic) {
             stats_->corruptSkipped.fetch_add(1, std::memory_order_relaxed);
@@ -147,7 +89,7 @@ SweepJournal::replay(const std::function<void(const Record &)> &visit)
             break;
         }
         const std::uint32_t len = head.u32();
-        if (pos + 8 + len + 4 > off)
+        if (pos + 8 + len + 4 > bytes.size())
             break; // torn tail: the crash case, silently healed
         const std::uint8_t *payload = bytes.data() + pos + 8;
         Reader tail(payload + len, 4);

@@ -19,8 +19,9 @@
  * CorruptSnapshot — truncation at *any* byte offset, a flipped bit, a
  * wrong version or kind all reject cleanly with zero partial restore.
  *
- * Files are written atomically (tmp + fsync + rename + parent-dir
- * fsync) so a crash mid-save leaves either the old snapshot or none.
+ * Files are written through durable::atomicWriteFile (tmp + fsync +
+ * rename + parent-dir fsync) so a crash mid-save leaves either the old
+ * snapshot or none.
  * The `ckpt.write` / `ckpt.load` fault seams make both failure paths
  * testable on demand.
  */
@@ -43,8 +44,7 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /** What a snapshot's payload serializes. */
 enum class SnapshotKind : std::uint32_t {
-    kChipRun = 1,      ///< ChipSim::runMultiProgram mid-run state
-    kSweepJournal = 2, ///< one sweep-journal entry (framed, not a file)
+    kChipRun = 1, ///< ChipSim::runMultiProgram mid-run state
 };
 
 /** A decoded snapshot. */

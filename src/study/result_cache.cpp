@@ -1,17 +1,16 @@
 #include "result_cache.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
 
 #include "common/crc32.h"
+#include "common/durable.h"
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/log.h"
@@ -20,48 +19,44 @@ namespace smtflex {
 
 namespace {
 
-/** True when @p tail is a record's CRC field: 'c' + 8 hex digits. */
+/**
+ * Parse one on-disk line, `escaped_key|v1 v2 ...|cXXXXXXXX`. The line
+ * counts only if its CRC verifies and every field parses; anything else
+ * (a torn write, a merged line, a pre-v2 line without a tag) is rejected.
+ */
 bool
-looksLikeCrcField(const std::string &line, std::size_t field_start)
+parseRecord(std::string_view line, std::string &key,
+            std::vector<double> &values)
 {
-    if (line.size() - field_start != 9 || line[field_start] != 'c')
+    constexpr std::size_t kTagSize = 10; // "|c" + 8 hex digits
+    if (line.size() < kTagSize)
         return false;
-    for (std::size_t i = field_start + 1; i < line.size(); ++i) {
-        if (!std::isxdigit(static_cast<unsigned char>(line[i])))
+    const std::size_t tag = line.size() - kTagSize;
+    if (line[tag] != '|' || line[tag + 1] != 'c')
+        return false;
+    std::uint32_t stored = 0;
+    const char *const end = line.data() + line.size();
+    const auto hex = std::from_chars(line.data() + tag + 2, end, stored, 16);
+    if (hex.ec != std::errc() || hex.ptr != end ||
+        crc32(line.data(), tag) != stored)
+        return false;
+    const std::size_t sep = line.find('|');
+    if (sep == 0 || sep == tag)
+        return false;
+    const char *p = line.data() + sep + 1;
+    const char *const values_end = line.data() + tag;
+    while (p < values_end) {
+        double v = 0.0;
+        const auto num = std::from_chars(p, values_end, v);
+        if (num.ec != std::errc())
+            return false;
+        values.push_back(v);
+        p = num.ptr;
+        if (p < values_end && *p++ != ' ')
             return false;
     }
+    key = ResultCache::unescapeKey(line.substr(0, sep));
     return true;
-}
-
-/** fsync @p fd, honouring the io.fsync injection seam.
- * @return whether the data is known durable. */
-bool
-syncFd(int fd, const std::string &what)
-{
-    if (fault::shouldFire(fault::Site::kIoFsync)) {
-        warn("ResultCache: injected fsync failure on ", what);
-        return false;
-    }
-    if (::fsync(fd) != 0) {
-        warn("ResultCache: fsync(", what, ") failed: ",
-             std::strerror(errno));
-        return false;
-    }
-    return true;
-}
-
-/** fsync the directory containing @p file_path so a rename is durable. */
-void
-syncParentDir(const std::string &file_path)
-{
-    const std::size_t slash = file_path.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : file_path.substr(0, slash);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return; // best effort: some filesystems refuse directory opens
-    syncFd(fd, dir);
-    ::close(fd);
 }
 
 } // namespace
@@ -113,7 +108,7 @@ ResultCache::escapeKey(const std::string &key)
 }
 
 std::string
-ResultCache::unescapeKey(const std::string &escaped)
+ResultCache::unescapeKey(std::string_view escaped)
 {
     std::string out;
     out.reserve(escaped.size());
@@ -136,8 +131,8 @@ ResultCache::unescapeKey(const std::string &escaped)
             out += '\r';
             break;
           default:
-            // Legacy keys were written unescaped; keep unknown sequences
-            // verbatim so they round-trip.
+            // escapeKey() never writes other sequences; keep them
+            // verbatim rather than guess.
             out += '\\';
             out += escaped[i];
         }
@@ -187,51 +182,22 @@ ResultCache::loadFile(const std::string &file_path)
     std::ifstream in(file_path);
     if (!in)
         return; // no segment yet
+    // One rule: a line loads if and only if its CRC verifies. The header
+    // line is skipped; every other line is counted as corrupt, since the
+    // result will simply be recomputed.
     std::uint64_t skipped = 0;
-    bool strict = false;
-    bool first = true;
     std::string line;
-    while (std::getline(in, line)) {
-        if (first) {
-            first = false;
-            if (line == kFormatHeader) {
-                strict = true;
-                continue;
-            }
-        }
-        const std::size_t sep = line.find('|');
-        if (sep == std::string::npos || sep == 0) {
-            // Partial/corrupt line (or an empty key): no usable record.
-            ++skipped;
+    for (bool first = true; std::getline(in, line); first = false) {
+        if (first && line == kFormatHeader)
             continue;
-        }
-        std::size_t values_end = line.size();
-        const std::size_t last = line.rfind('|');
-        if (last != sep && looksLikeCrcField(line, last + 1)) {
-            // CRC-tagged record: the checksum covers everything before
-            // the final separator. A mismatch means a torn write or a
-            // merged line — skip it; the result will be recomputed.
-            const std::uint32_t stored = static_cast<std::uint32_t>(
-                std::strtoul(line.c_str() + last + 2, nullptr, 16));
-            if (crc32(line.data(), last) != stored) {
-                ++skipped;
-                continue;
-            }
-            values_end = last;
-        } else if (strict) {
-            // A v2 file only ever contains CRC-tagged records, so a line
-            // without a valid tag is a truncated record — it must not be
-            // mistaken for a CRC-less legacy line with shortened values.
-            ++skipped;
-            continue;
-        }
+        std::string key;
         std::vector<double> values;
-        std::istringstream vs(line.substr(sep + 1, values_end - sep - 1));
-        double v;
-        while (vs >> v)
-            values.push_back(v);
-        const std::string key = unescapeKey(line.substr(0, sep));
-        shards_[shardOf(key)]->entries[key] = std::move(values);
+        if (!parseRecord(line, key, values)) {
+            ++skipped;
+            continue;
+        }
+        shards_[shardOf(key)]->entries.insert_or_assign(std::move(key),
+                                                       std::move(values));
     }
     if (skipped > 0) {
         corruptSkipped_.fetch_add(skipped, std::memory_order_relaxed);
@@ -244,8 +210,8 @@ ResultCache::loadFile(const std::string &file_path)
 void
 ResultCache::load()
 {
-    // Legacy single-file format first, then the shard segments (newer
-    // records) so they override.
+    // The base file (the committed seed campaign) first, then the shard
+    // segments (newer records) so they override.
     loadFile(path_);
     for (std::size_t i = 0; i < kNumShards; ++i)
         loadFile(shardPath(i));
@@ -262,76 +228,47 @@ ResultCache::lookup(const std::string &key) const
     return it->second;
 }
 
-const std::vector<double> *
-ResultCache::find(const std::string &key) const
-{
-    const Shard &shard = *shards_[shardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    return it == shard.entries.end() ? nullptr : &it->second;
-}
-
 void
 ResultCache::appendRecord(Shard &shard, std::size_t index,
                           const std::string &record)
 {
+    const std::string segment = shardPath(index);
     if (shard.fd < 0) {
-        shard.fd = ::open(shardPath(index).c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-        if (shard.fd < 0) {
-            warn("ResultCache: cannot append to ", shardPath(index), ": ",
-                 std::strerror(errno));
+        // A fresh segment starts with the format header; its directory
+        // entry is fsynced too when every store is (checkpoint() syncs
+        // the parent after its rename anyway).
+        shard.fd = durable::openAppend(segment,
+                                       std::string(kFormatHeader) + '\n',
+                                       fsyncEachStore_,
+                                       fault::Site::kIoFsync);
+        if (shard.fd < 0)
             return;
-        }
-        struct stat st;
-        if (::fstat(shard.fd, &st) == 0 && st.st_size == 0) {
-            // Fresh segment: stamp the strict-format header. If this
-            // write tears, the file simply loads as legacy — CRC-tagged
-            // records still verify there.
-            const std::string header = std::string(kFormatHeader) + '\n';
-            [[maybe_unused]] const ssize_t h =
-                ::write(shard.fd, header.data(), header.size());
-            // Record fsyncs alone don't make a *new* file durable: its
-            // directory entry needs an fsync of the parent too, else a
-            // power loss can drop the entire segment. (checkpoint()
-            // already syncs the parent after its rename.)
-            if (fsyncEachStore_)
-                syncParentDir(shardPath(index));
-        }
     }
-    // A write can legitimately land short (signal, disk pressure) or be
-    // torn by a crash; the io.write seam injects the short case. Recovery:
-    // terminate whatever prefix reached the disk so it is one CRC-failing
-    // line, then rewrite the whole record. The cost of a short write is
-    // one skipped line at the next load, never a lost or corrupt record.
+    // A crash can tear a write at any byte; the io.write seam injects
+    // that case. Recovery: terminate whatever prefix reached the disk so
+    // it is one CRC-failing line, then rewrite the whole record. The cost
+    // of a torn write is one skipped line at the next load, never a lost
+    // or corrupt record.
     for (int attempt = 0; attempt < 3; ++attempt) {
-        std::size_t want = record.size();
-        bool injected = false;
-        if (fault::shouldFire(fault::Site::kIoWrite)) {
-            injected = true;
-            want = fault::param(fault::Site::kIoWrite, record.size() / 2);
-            want = std::min(want, record.size() - 1);
-        }
-        const ssize_t n = ::write(shard.fd, record.data(), want);
-        if (n == static_cast<ssize_t>(record.size())) {
-            if (fsyncEachStore_)
-                syncFd(shard.fd, shardPath(index));
-            return;
-        }
-        if (n < 0 && errno != EINTR) {
-            warn("ResultCache: write to ", shardPath(index), " failed: ",
+        const std::size_t length = durable::tornLength(
+            fault::Site::kIoWrite, record.size(), segment);
+        if (!durable::writeAll(shard.fd, record.data(), length)) {
+            warn("ResultCache: write to ", segment, " failed: ",
                  std::strerror(errno));
             return;
         }
-        if (n > 0 || injected) {
-            warn("ResultCache: short write of ",
-                 injected ? "(injected) " : "", shardPath(index),
-                 "; terminating torn record and retrying");
-            [[maybe_unused]] const ssize_t t = ::write(shard.fd, "\n", 1);
+        if (length == record.size()) {
+            if (fsyncEachStore_)
+                durable::syncFd(shard.fd, segment, fault::Site::kIoFsync);
+            return;
         }
+        warn("ResultCache: short write to ", segment,
+             "; terminating torn record and retrying");
+        if (length > 0)
+            durable::writeAll(shard.fd, "\n", 1);
     }
-    warn("ResultCache: giving up appending a record to ",
-         shardPath(index), "; the entry stays in memory only");
+    warn("ResultCache: giving up appending a record to ", segment,
+         "; the entry stays in memory only");
 }
 
 void
@@ -357,7 +294,7 @@ ResultCache::flush()
         Shard &shard = *shards_[i];
         std::lock_guard<std::mutex> lock(shard.mutex);
         if (shard.fd >= 0)
-            syncFd(shard.fd, shardPath(i));
+            durable::syncFd(shard.fd, shardPath(i), fault::Site::kIoFsync);
     }
 }
 
@@ -370,49 +307,16 @@ ResultCache::checkpoint()
     for (std::size_t i = 0; i < kNumShards; ++i) {
         Shard &shard = *shards_[i];
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const std::string segment = shardPath(i);
-        const std::string tmp = segment + ".tmp";
-        const int fd =
-            ::open(tmp.c_str(),
-                   O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-        if (fd < 0) {
-            warn("ResultCache: checkpoint cannot create ", tmp, ": ",
-                 std::strerror(errno));
-            all_ok = false;
-            continue;
-        }
         std::string blob = std::string(kFormatHeader) + '\n';
         for (const auto &[key, values] : shard.entries)
             blob += formatRecord(key, values);
-        bool ok = true;
-        std::size_t written = 0;
-        while (written < blob.size()) {
-            const ssize_t n =
-                ::write(fd, blob.data() + written, blob.size() - written);
-            if (n > 0) {
-                written += static_cast<std::size_t>(n);
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            warn("ResultCache: checkpoint write to ", tmp, " failed: ",
-                 std::strerror(errno));
-            ok = false;
-            break;
-        }
-        // The durable order is write -> fsync -> rename -> fsync(dir);
-        // any failure keeps the old segment (still loadable) in place.
-        ok = ok && syncFd(fd, tmp);
-        ::close(fd);
-        if (!ok || ::rename(tmp.c_str(), segment.c_str()) != 0) {
-            if (ok)
-                warn("ResultCache: checkpoint rename to ", segment,
-                     " failed: ", std::strerror(errno));
-            ::unlink(tmp.c_str());
+        // A failure keeps the old segment (still loadable) in place.
+        if (!durable::atomicWriteFile(shardPath(i), blob.data(),
+                                      blob.size(), durable::kNoSeam,
+                                      fault::Site::kIoFsync)) {
             all_ok = false;
             continue;
         }
-        syncParentDir(segment);
         // The append descriptor points at the replaced inode; reopen on
         // the next store.
         if (shard.fd >= 0) {

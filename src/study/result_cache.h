@@ -17,6 +17,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smtflex {
@@ -32,23 +33,24 @@ namespace smtflex {
  * are appended as they are computed, so an interrupted sweep resumes where
  * it stopped.
  *
- * On-disk format, one record per line: `key|v1 v2 ...|cXXXXXXXX`, where
- * the trailing field is the CRC-32 of everything before its separator, in
- * eight hex digits. Keys are escaped on write ('\\' -> "\\\\", '|' ->
- * "\\p", newline -> "\\n", carriage return -> "\\r") so any non-empty key
- * round-trips. Both older formats still load: the pre-sharding single
- * file (`<path>` itself, loaded first so shard segments override it) and
- * CRC-less `key|v1 v2 ...` lines.
+ * On-disk format: a `#smtflex-cache-v2` header line, then one record per
+ * line: `key|v1 v2 ...|cXXXXXXXX`, where the trailing field is the CRC-32
+ * of everything before its separator, in eight hex digits. Keys are
+ * escaped on write ('\\' -> "\\\\", '|' -> "\\p", newline -> "\\n",
+ * carriage return -> "\\r") so any non-empty key round-trips. `<path>`
+ * itself (the committed seed campaign) is loaded first and the shard
+ * segments override it; every file uses the same format.
  *
- * Durability: lines that fail the CRC or are structurally broken (a torn
- * final write, a merged line after a short append) are skipped, counted
- * (corruptLinesSkipped()) and reported with one warning per file — a
- * corrupt line costs one recomputation, never a corrupt result. Appends
- * that come up short are terminated and retried so the record still
- * persists. checkpoint() rewrites every segment through the atomic
- * tmp + rename + fsync dance; SMTFLEX_CACHE_FSYNC=1 additionally fsyncs
- * each appended record. Injection seams (smtflex::fault sites io.write,
- * io.fsync, io.load) make all of these paths testable on demand.
+ * Durability: a line loads if and only if its CRC verifies. Every other
+ * line (a torn final write, a merged line after a short append, a pre-v2
+ * line without a tag) is skipped, counted (corruptLinesSkipped()) and
+ * reported with one warning per file — a corrupt line costs one
+ * recomputation, never a corrupt result. Appends that come up short are
+ * terminated and retried so the record still persists. checkpoint()
+ * rewrites every segment through durable::atomicWriteFile;
+ * SMTFLEX_CACHE_FSYNC=1 additionally fsyncs each appended record.
+ * Injection seams (smtflex::fault sites io.write, io.fsync, io.load) make
+ * all of these paths testable on demand.
  */
 class ResultCache
 {
@@ -56,11 +58,10 @@ class ResultCache
     static constexpr std::size_t kNumShards = 16;
 
     /**
-     * First line of every segment this version writes. Files carrying it
-     * are parsed strictly — every record must have a matching CRC, so a
-     * record truncated before its tag can never masquerade as a CRC-less
-     * legacy record with silently shortened values. Files without it
-     * (committed legacy caches) keep the lax legacy parsing.
+     * First line of every file in this format (segments, checkpoints and
+     * the committed seed cache). The loader skips it; records verify by
+     * their own CRC, so a record truncated before its tag never loads
+     * with silently shortened values.
      */
     static constexpr const char *kFormatHeader = "#smtflex-cache-v2";
 
@@ -73,13 +74,6 @@ class ResultCache
      * store() of any key (including an overwrite of this one).
      */
     std::optional<std::vector<double>> lookup(const std::string &key) const;
-
-    /**
-     * Pointer to a record; nullptr when absent. The pointer survives
-     * concurrent insertion of other keys but NOT an overwrite of the same
-     * key — prefer lookup() in concurrent code.
-     */
-    const std::vector<double> *find(const std::string &key) const;
 
     /** Insert a record and append it to the key's shard segment. Only
      * empty keys are rejected; every other key is escaped on disk. */
@@ -112,7 +106,7 @@ class ResultCache
 
     /** Escape/unescape a key for the on-disk format (exposed for tests). */
     static std::string escapeKey(const std::string &key);
-    static std::string unescapeKey(const std::string &escaped);
+    static std::string unescapeKey(std::string_view escaped);
 
     /** Format one on-disk record line, CRC tag and trailing newline
      * included (exposed for tests). */

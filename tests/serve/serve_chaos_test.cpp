@@ -29,6 +29,7 @@
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "study/study_engine.h"
+#include "tests/temp_path.h"
 
 namespace smtflex {
 namespace serve {
@@ -225,11 +226,10 @@ TEST_F(ServeChaosTest, StatsReportCorruptCacheLines)
 {
     // A cache with one mangled line: the load skips and counts it, and
     // the stats op surfaces the counter to operators.
-    const std::string cachePath =
-        ::testing::TempDir() + "smtflex_serve_chaos_cache.txt";
+    const std::string cachePath = tempPath("serve_chaos_cache.txt");
     {
         std::ofstream out(cachePath, std::ios::trunc);
-        out << "good|1 2 3\n";
+        out << ResultCache::formatRecord("good", {1, 2, 3});
         out << "garbage line without a separator\n";
     }
     ServerOptions options;
@@ -246,12 +246,7 @@ TEST_F(ServeChaosTest, StatsReportCorruptCacheLines)
     EXPECT_EQ(reply.at("stats").at("result_cache_corrupt_lines").asU64(),
               1u);
     ts.stop();
-    std::remove(cachePath.c_str());
-    for (std::size_t i = 0; i < 16; ++i) {
-        std::ostringstream os;
-        os << cachePath << ".shard-" << (i < 10 ? "0" : "") << i;
-        std::remove(os.str().c_str());
-    }
+    removeCacheFiles(cachePath);
 }
 
 /** One loadgen run in the given chaos mode; the server must stay up and

@@ -20,6 +20,7 @@
 #include "study/design_space.h"
 #include "study/result_cache.h"
 #include "study/study_engine.h"
+#include "tests/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -30,27 +31,13 @@ class CacheChaosTest : public ::testing::Test
     void SetUp() override
     {
         fault::reset();
-        path_ = ::testing::TempDir() + "smtflex_cache_chaos.txt";
-        removeAll();
+        path_ = tempPath("cache_chaos.txt");
+        removeCacheFiles(path_);
     }
     void TearDown() override
     {
         fault::reset();
-        removeAll();
-    }
-
-    void removeAll()
-    {
-        std::remove(path_.c_str());
-        for (std::size_t i = 0; i < ResultCache::kNumShards; ++i)
-            std::remove(shardFile(path_, i).c_str());
-    }
-
-    static std::string shardFile(const std::string &path, std::size_t i)
-    {
-        std::ostringstream os;
-        os << path << ".shard-" << (i < 10 ? "0" : "") << i;
-        return os.str();
+        removeCacheFiles(path_);
     }
 
     std::string path_;
@@ -84,8 +71,8 @@ TEST_F(CacheChaosTest, TruncationAtEveryByteOffsetIsSafe)
 
     const std::string victim = path_ + ".truncated";
     for (std::size_t cut = 0; cut <= content.size(); ++cut) {
-        // The legacy single-file slot loads through the same parser as
-        // the shard segments; one file keeps the loop cheap.
+        // The base-file slot loads through the same parser as the shard
+        // segments; one file keeps the loop cheap.
         {
             std::ofstream out(victim, std::ios::trunc | std::ios::binary);
             out.write(content.data(), static_cast<std::streamsize>(cut));
@@ -138,9 +125,8 @@ TEST_F(CacheChaosTest, InjectedShortWriteHealsWithoutLosingRecords)
     fault::reset();
     ResultCache reloaded(path_);
     EXPECT_EQ(reloaded.size(), 2u);
-    ASSERT_NE(reloaded.find("first"), nullptr);
-    EXPECT_EQ(*reloaded.find("first"), (std::vector<double>{1.0, 2.0}));
-    ASSERT_NE(reloaded.find("second"), nullptr);
+    EXPECT_EQ(reloaded.lookup("first"), (std::vector<double>{1.0, 2.0}));
+    EXPECT_TRUE(reloaded.lookup("second").has_value());
     EXPECT_EQ(reloaded.corruptLinesSkipped(), 1u);
 }
 
@@ -231,9 +217,7 @@ TEST_F(CacheChaosTest, ChaoticSweepIsByteIdenticalToFaultFree)
         EXPECT_EQ(*va, *vb) << key.str();
     }
 
-    for (std::size_t i = 0; i < ResultCache::kNumShards; ++i)
-        std::remove(shardFile(chaos_path, i).c_str());
-    std::remove(chaos_path.c_str());
+    removeCacheFiles(chaos_path);
 }
 
 // A real StudyEngine sweep — the paper's homogeneous design point — under

@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "study/result_cache.h"
+#include "tests/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -25,20 +25,10 @@ class ResultCacheConcurrentTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "smtflex_cache_mt_test.txt";
-        removeAll();
+        path_ = tempPath("cache_mt_test.txt");
+        removeCacheFiles(path_);
     }
-    void TearDown() override { removeAll(); }
-
-    void removeAll()
-    {
-        std::remove(path_.c_str());
-        for (std::size_t i = 0; i < ResultCache::kNumShards; ++i) {
-            std::ostringstream os;
-            os << path_ << ".shard-" << (i < 10 ? "0" : "") << i;
-            std::remove(os.str().c_str());
-        }
-    }
+    void TearDown() override { removeCacheFiles(path_); }
 
     static std::string keyFor(unsigned writer, unsigned i)
     {

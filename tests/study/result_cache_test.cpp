@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the disk-backed result cache: persistence, the sharded file
- * format, backward-compatible loading of the legacy single-file format,
- * and key escaping (the `|`/newline injection fix).
+ * format, the one load rule (a line loads iff its CRC verifies), the
+ * committed seed cache as a golden v2 file, and key escaping (the
+ * `|`/newline injection fix).
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "study/result_cache.h"
+#include "tests/temp_path.h"
 
 namespace smtflex {
 namespace {
@@ -23,19 +26,13 @@ class ResultCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "smtflex_cache_test.txt";
-        removeAll();
+        path_ = tempPath("cache_test.txt");
+        removeCacheFiles(path_);
     }
-    void TearDown() override { removeAll(); }
-
-    void removeAll()
+    void TearDown() override
     {
-        std::remove(path_.c_str());
-        for (std::size_t i = 0; i < ResultCache::kNumShards; ++i) {
-            std::ostringstream os;
-            os << path_ << ".shard-" << (i < 10 ? "0" : "") << i;
-            std::remove(os.str().c_str());
-        }
+        setLogSink(nullptr);
+        removeCacheFiles(path_);
     }
 
     std::string path_;
@@ -44,15 +41,9 @@ class ResultCacheTest : public ::testing::Test
 TEST_F(ResultCacheTest, StoreAndFind)
 {
     ResultCache cache(path_);
-    EXPECT_EQ(cache.find("k1"), nullptr);
     EXPECT_FALSE(cache.lookup("k1").has_value());
     cache.store("k1", {1.0, 2.5, -3.0});
-    const auto *hit = cache.find("k1");
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, (std::vector<double>{1.0, 2.5, -3.0}));
-    const auto copy = cache.lookup("k1");
-    ASSERT_TRUE(copy.has_value());
-    EXPECT_EQ(*copy, *hit);
+    EXPECT_EQ(cache.lookup("k1"), (std::vector<double>{1.0, 2.5, -3.0}));
     EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -65,10 +56,8 @@ TEST_F(ResultCacheTest, PersistsAcrossInstances)
     }
     ResultCache reloaded(path_);
     EXPECT_EQ(reloaded.size(), 2u);
-    ASSERT_NE(reloaded.find("a"), nullptr);
-    EXPECT_DOUBLE_EQ(reloaded.find("a")->at(0), 1.0);
-    ASSERT_NE(reloaded.find("b"), nullptr);
-    EXPECT_DOUBLE_EQ(reloaded.find("b")->at(1), 3.0);
+    EXPECT_EQ(reloaded.lookup("a"), (std::vector<double>{1.0}));
+    EXPECT_EQ(reloaded.lookup("b"), (std::vector<double>{2.0, 3.0}));
 }
 
 TEST_F(ResultCacheTest, OverwriteTakesLatestValue)
@@ -77,11 +66,11 @@ TEST_F(ResultCacheTest, OverwriteTakesLatestValue)
         ResultCache cache(path_);
         cache.store("k", {1.0});
         cache.store("k", {9.0});
-        EXPECT_DOUBLE_EQ(cache.find("k")->at(0), 9.0);
+        EXPECT_EQ(cache.lookup("k"), (std::vector<double>{9.0}));
     }
     // The append-only segments replay in order; the last record wins.
     ResultCache reloaded(path_);
-    EXPECT_DOUBLE_EQ(reloaded.find("k")->at(0), 9.0);
+    EXPECT_EQ(reloaded.lookup("k"), (std::vector<double>{9.0}));
 }
 
 TEST_F(ResultCacheTest, FullPrecisionRoundTrip)
@@ -92,52 +81,75 @@ TEST_F(ResultCacheTest, FullPrecisionRoundTrip)
         cache.store("pi", {value});
     }
     ResultCache reloaded(path_);
-    EXPECT_DOUBLE_EQ(reloaded.find("pi")->at(0), value);
+    EXPECT_EQ(reloaded.lookup("pi"), (std::vector<double>{value}));
 }
 
-TEST_F(ResultCacheTest, LoadsLegacySingleFileFormat)
+TEST_F(ResultCacheTest, HeaderlessPreV2FileLoadsNothing)
 {
-    // Records written by the pre-sharding cache live in `path` itself.
+    // The pre-v2 format (no header, no CRC tags) is no longer parsed:
+    // every line is counted as corrupt and reported in one warning, so
+    // its results are recomputed instead of trusted.
     {
         std::ofstream out(path_);
         out << "legacy_a|1 2 3\n";
         out << "legacy_b|4\n";
     }
+    static std::vector<std::string> warnings;
+    warnings.clear();
+    setLogSink([](LogLevel level, const std::string &message) {
+        if (level == LogLevel::kWarn)
+            warnings.push_back(message);
+    });
+    ResultCache cache(path_);
+    setLogSink(nullptr);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.corruptLinesSkipped(), 2u);
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("skipped 2 corrupt lines"), std::string::npos)
+        << warnings[0];
+}
+
+TEST_F(ResultCacheTest, ShardRecordsOverrideTheUntouchedBaseFile)
+{
+    // `path` itself (the committed seed campaign) is only ever read: new
+    // records go to shard segments, which load later and override it.
+    const std::string base = std::string(ResultCache::kFormatHeader) +
+        "\n" + ResultCache::formatRecord("a", {1, 2, 3}) +
+        ResultCache::formatRecord("b", {4});
+    std::ofstream(path_, std::ios::binary) << base;
     ResultCache cache(path_);
     EXPECT_EQ(cache.size(), 2u);
-    ASSERT_NE(cache.find("legacy_a"), nullptr);
-    EXPECT_EQ(cache.find("legacy_a")->size(), 3u);
-    // New records go to shard segments; the legacy file is left untouched,
-    // and a shard record for the same key overrides the legacy one.
-    cache.store("legacy_b", {9.0});
+    cache.store("b", {9.0});
     ResultCache reloaded(path_);
-    EXPECT_DOUBLE_EQ(reloaded.find("legacy_b")->at(0), 9.0);
-    std::ifstream legacy(path_);
-    std::string all((std::istreambuf_iterator<char>(legacy)),
-                    std::istreambuf_iterator<char>());
-    EXPECT_EQ(all, "legacy_a|1 2 3\nlegacy_b|4\n");
+    EXPECT_EQ(reloaded.lookup("a"), (std::vector<double>{1, 2, 3}));
+    EXPECT_EQ(reloaded.lookup("b"), (std::vector<double>{9.0}));
+    std::ifstream in(path_, std::ios::binary);
+    EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>()),
+              base);
 }
 
 TEST_F(ResultCacheTest, ToleratesCorruptLines)
 {
     {
         std::ofstream out(path_);
-        out << "good|1 2 3\n";
+        out << ResultCache::formatRecord("good", {1, 2, 3});
         out << "garbage without separator\n";
         out << "|empty key\n";
-        out << "tail|4 5\n";
+        out << ResultCache::formatRecord("tail", {4, 5});
     }
     ResultCache cache(path_);
     EXPECT_EQ(cache.size(), 2u);
-    ASSERT_NE(cache.find("good"), nullptr);
-    ASSERT_NE(cache.find("tail"), nullptr);
+    EXPECT_EQ(cache.lookup("good"), (std::vector<double>{1, 2, 3}));
+    EXPECT_EQ(cache.lookup("tail"), (std::vector<double>{4, 5}));
+    EXPECT_EQ(cache.corruptLinesSkipped(), 2u);
 }
 
 TEST_F(ResultCacheTest, InMemoryOnlyWithEmptyPath)
 {
     ResultCache cache("");
     cache.store("x", {1.0});
-    EXPECT_NE(cache.find("x"), nullptr);
+    EXPECT_TRUE(cache.lookup("x").has_value());
     EXPECT_TRUE(cache.path().empty());
 }
 
@@ -179,7 +191,7 @@ TEST_F(ResultCacheTest, EscapeKeyIsInvertibleAndOneLine)
         EXPECT_EQ(escaped.find('\n'), std::string::npos) << key;
         EXPECT_EQ(ResultCache::unescapeKey(escaped), key);
     }
-    // Legacy unescaped keys (no backslashes) pass through unchanged.
+    // Keys without backslashes pass through unchanged.
     EXPECT_EQ(ResultCache::unescapeKey("iso;mcf;B;b12000"), "iso;mcf;B;b12000");
 }
 
@@ -210,15 +222,15 @@ TEST_F(ResultCacheTest, CrcMismatchIsSkippedAndCounted)
     ResultCache cache(path_);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.corruptLinesSkipped(), 1u);
-    EXPECT_NE(cache.find("good"), nullptr);
-    EXPECT_EQ(cache.find("bad"), nullptr);
-    EXPECT_NE(cache.find("tail"), nullptr);
+    EXPECT_TRUE(cache.lookup("good").has_value());
+    EXPECT_FALSE(cache.lookup("bad").has_value());
+    EXPECT_TRUE(cache.lookup("tail").has_value());
 }
 
 TEST_F(ResultCacheTest, StrictFormatRejectsUntaggedLines)
 {
-    // In a v2 file a line without a CRC tag is a truncated record, not a
-    // legacy record — its values may be silently shortened.
+    // A line without a CRC tag is a truncated record — its values may be
+    // silently shortened.
     {
         std::ofstream out(path_);
         out << ResultCache::kFormatHeader << "\n";
@@ -227,7 +239,7 @@ TEST_F(ResultCacheTest, StrictFormatRejectsUntaggedLines)
     }
     ResultCache cache(path_);
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.find("torn"), nullptr);
+    EXPECT_FALSE(cache.lookup("torn").has_value());
     EXPECT_EQ(cache.corruptLinesSkipped(), 1u);
 }
 
@@ -239,9 +251,7 @@ TEST_F(ResultCacheTest, NewSegmentsCarryTheFormatHeader)
     }
     bool found = false;
     for (std::size_t i = 0; i < ResultCache::kNumShards; ++i) {
-        std::ostringstream os;
-        os << path_ << ".shard-" << (i < 10 ? "0" : "") << i;
-        std::ifstream in(os.str());
+        std::ifstream in(cacheShardPath(path_, i));
         std::string first;
         if (in && std::getline(in, first)) {
             found = true;
@@ -261,9 +271,7 @@ TEST_F(ResultCacheTest, CheckpointCompactsAndStaysAppendable)
     // The snapshot holds exactly one record per entry.
     std::size_t records = 0;
     for (std::size_t i = 0; i < ResultCache::kNumShards; ++i) {
-        std::ostringstream os;
-        os << path_ << ".shard-" << (i < 10 ? "0" : "") << i;
-        std::ifstream in(os.str());
+        std::ifstream in(cacheShardPath(path_, i));
         std::string line;
         while (std::getline(in, line))
             if (line != ResultCache::kFormatHeader)
@@ -275,9 +283,8 @@ TEST_F(ResultCacheTest, CheckpointCompactsAndStaysAppendable)
     cache.store("post", {4.0});
     ResultCache reloaded(path_);
     EXPECT_EQ(reloaded.size(), 2u);
-    ASSERT_NE(reloaded.find("k"), nullptr);
-    EXPECT_DOUBLE_EQ(reloaded.find("k")->at(0), 3.0);
-    ASSERT_NE(reloaded.find("post"), nullptr);
+    EXPECT_EQ(reloaded.lookup("k"), (std::vector<double>{3.0}));
+    EXPECT_TRUE(reloaded.lookup("post").has_value());
     EXPECT_EQ(reloaded.corruptLinesSkipped(), 0u);
 }
 
@@ -288,9 +295,42 @@ TEST_F(ResultCacheTest, EmptyValueVector)
         cache.store("empty", {});
     }
     ResultCache reloaded(path_);
-    ASSERT_NE(reloaded.find("empty"), nullptr);
-    EXPECT_TRUE(reloaded.find("empty")->empty());
+    EXPECT_EQ(reloaded.lookup("empty"), std::vector<double>{});
 }
+
+#ifdef SMTFLEX_SOURCE_DIR
+TEST(ResultCacheSeedTest, CommittedSeedCacheIsGoldenV2)
+{
+    // The committed campaign is a v2 file: it loads whole, and
+    // formatRecord() re-serialises it in file order byte for byte — so
+    // every record round-trips bit-exactly through the writer.
+    const std::string path =
+        std::string(SMTFLEX_SOURCE_DIR) + "/smtflex_cache.txt";
+    const ResultCache seed(path);
+    EXPECT_EQ(seed.size(), 12'238u);
+    EXPECT_EQ(seed.corruptLinesSkipped(), 0u);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::istringstream lines(file);
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    ASSERT_EQ(line, ResultCache::kFormatHeader);
+    std::string rebuilt = line + '\n';
+    std::size_t records = 0;
+    while (std::getline(lines, line)) {
+        const std::string key =
+            ResultCache::unescapeKey(line.substr(0, line.find('|')));
+        const auto values = seed.lookup(key);
+        ASSERT_TRUE(values.has_value()) << key;
+        rebuilt += ResultCache::formatRecord(key, *values);
+        ++records;
+    }
+    EXPECT_EQ(records, seed.size());
+    EXPECT_TRUE(rebuilt == file) << "re-serialised seed cache differs";
+}
+#endif
 
 } // namespace
 } // namespace smtflex
