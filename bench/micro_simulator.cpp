@@ -1,12 +1,15 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator components themselves:
- * trace generation, cache access, DRAM scheduling, and whole-chip
- * simulation throughput. These guard the simulator's own performance (a
+ * trace generation, cache access, DRAM scheduling, functional warmup and
+ * whole-chip simulation throughput. These guard the simulator's own performance (a
  * design-space sweep runs thousands of chip-seconds).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "cache/cache.h"
 #include "dram/dram.h"
@@ -99,6 +102,38 @@ BM_ChipSim20sCycles(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChipSim20sCycles);
+
+/**
+ * Functional warmup (ChipSim::warmAllCaches) of a fresh 20s chip with
+ * sim_long's memory-bound mix: 10 x mcf and 10 x libquantum, one per
+ * core. Items are the threads' resident lines, so items/sec is the
+ * warmup layer's line rate; building the chip is not timed.
+ */
+void
+BM_WarmAllCaches20s(benchmark::State &state)
+{
+    const ChipConfig cfg = paperDesign("20s");
+    std::vector<ChipSim::WarmSpec> specs;
+    std::uint64_t lines = 0;
+    for (std::uint32_t i = 0; i < 20; ++i) {
+        specs.push_back({&specProfile(i % 2 == 0 ? "mcf" : "libquantum"),
+                         AddressSpace::forThread(i), i});
+        TraceGenerator::forEachResidentLine(
+            *specs.back().profile, specs.back().space, cfg.llc.sizeBytes,
+            [&](Addr, bool) { ++lines; });
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto chip = std::make_unique<ChipSim>(cfg);
+        state.ResumeTiming();
+        chip->warmAllCaches(specs);
+        state.PauseTiming();
+        chip.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * lines);
+}
+BENCHMARK(BM_WarmAllCaches20s);
 
 /**
  * Simulated cycles per wall second on the memory-bound design the

@@ -1,5 +1,7 @@
 #include "cache.h"
 
+#include <cassert>
+
 #include "common/log.h"
 
 namespace smtflex {
@@ -100,6 +102,41 @@ SetAssocCache::install(Addr addr)
     victim->dirty = false;
     victim->prefetched = false;
     victim->lruStamp = lruClock_;
+}
+
+SetAssocCache::NewestFirstFill::NewestFirstFill(SetAssocCache &cache,
+                                                std::uint64_t installs)
+    : cache_(cache), stamp_(installs)
+{
+    if (cache_.lruClock_ != 0)
+        fatal("cache ", cache_.name_,
+              ": newest-first fill needs an untouched cache");
+    cache_.lruClock_ = installs;
+}
+
+bool
+SetAssocCache::NewestFirstFill::place(Addr addr)
+{
+    assert(stamp_ > 0 && "more lines offered than installs declared");
+    const Addr line_addr = addr / cache_.geometry_.lineSize;
+    const std::uint32_t assoc = cache_.geometry_.assoc;
+    Line *const base = &cache_.lines_[cache_.setIndex(addr) * assoc];
+    const std::uint64_t stamp = stamp_--;
+    // Sets fill from way 0 up and never lose a line, so the first invalid
+    // way ends the placed lines.
+    for (std::uint32_t way = 0; way < assoc; ++way) {
+        Line &line = base[way];
+        if (!line.valid) {
+            line.valid = true;
+            line.tag = line_addr;
+            line.lruStamp = stamp;
+            fullSets_ += way + 1 == assoc;
+            break;
+        }
+        if (line.tag == line_addr)
+            break; // shadowed by a newer install of the same line
+    }
+    return fullSets_ < cache_.numSets_;
 }
 
 bool

@@ -100,6 +100,33 @@ class SetAssocCache : public telemetry::StatsProvider<CacheStats>
      */
     void install(Addr addr);
 
+    /**
+     * Functional warmup of an untouched cache (no access or install yet),
+     * newest line first: offered the addresses of a run of @p installs
+     * install() calls in reverse order, it leaves the state that run
+     * leaves — by the LRU stack property, each set holds its assoc most
+     * recently installed distinct lines, each stamped with the clock value
+     * of its last install, and the clock reads @p installs. A line already
+     * placed in its set (a newer install of it) and a line whose set is
+     * full are skipped. Which way a line occupies may differ from
+     * install(); no hit, victim choice or statistic depends on it.
+     * Constructing it on a used cache fails with an error naming it.
+     */
+    class NewestFirstFill
+    {
+      public:
+        NewestFirstFill(SetAssocCache &cache, std::uint64_t installs);
+
+        /** Offer the next older install; false once every set is full
+         * (no older line can be resident, the walk may stop). */
+        bool place(Addr addr);
+
+      private:
+        SetAssocCache &cache_;
+        std::uint64_t stamp_;
+        std::uint64_t fullSets_ = 0;
+    };
+
     /** Drop every line (loses dirty data; used by tests/resets). */
     void invalidateAll();
 

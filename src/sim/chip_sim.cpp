@@ -290,52 +290,109 @@ ChipSim::run(Cycle cycles)
     wakeAllCores();
 }
 
-void
-ChipSim::warmAllCaches(const std::vector<WarmSpec> &specs)
-{
-    // Gather each thread's resident lines (coldest/largest regions first,
-    // hottest last — forEachResidentLine's order).
-    struct WarmLine
-    {
-        Addr addr;
-        bool isCode;
-    };
-    std::vector<std::vector<WarmLine>> lines(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        TraceGenerator::forEachResidentLine(
-            *specs[i].profile, specs[i].space, config_.llc.sizeBytes,
-            [&](Addr addr, bool is_code) {
-                lines[i].push_back({addr, is_code});
-            });
-    }
+namespace {
 
-    // Interleaved installation, chunked to amortise the loop overhead.
-    constexpr std::size_t kChunkLines = 128;
-    bool more = true;
-    for (std::size_t chunk = 0; more; ++chunk) {
-        more = false;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const std::size_t begin = chunk * kChunkLines;
-            if (begin >= lines[i].size())
+/** One warmed thread's resident runs, in forEachResidentRange order. */
+struct ResidentLines
+{
+    std::vector<ResidentRange> ranges;
+    /** Position of each run's first line in the thread's order. */
+    std::vector<std::uint64_t> starts;
+    std::uint64_t lines = 0;
+};
+
+/** Lines each thread installs per round of the warmup order. */
+constexpr std::uint64_t kChunkLines = 128;
+
+/**
+ * Fill @p cache with the lines the warmup order installs into it. The
+ * order is rounds of kChunkLines lines per thread, the @p members (spec
+ * indices, ascending) in turn within a round, each thread's lines in
+ * forEachResidentRange order; the cache receives the lines of the runs
+ * @p keep accepts. The order is walked newest first and the walk stops
+ * once every set is full (SetAssocCache::NewestFirstFill).
+ */
+template <typename Keep>
+void
+fillNewestFirst(SetAssocCache &cache,
+                const std::vector<ResidentLines> &threads,
+                const std::vector<std::size_t> &members, Keep keep)
+{
+    std::uint64_t installs = 0;
+    std::uint64_t rounds = 0;
+    for (const std::size_t t : members) {
+        for (const ResidentRange &range : threads[t].ranges)
+            installs += keep(range) ? range.lines : 0;
+        rounds = std::max(rounds,
+                          (threads[t].lines + kChunkLines - 1) / kChunkLines);
+    }
+    SetAssocCache::NewestFirstFill fill(cache, installs);
+    if (installs == 0)
+        return;
+    // Each member's run cursor only moves down: its positions are
+    // visited in decreasing order.
+    std::vector<std::size_t> run(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m)
+        run[m] = threads[members[m]].ranges.size();
+    for (std::uint64_t round = rounds; round-- > 0;) {
+        for (std::size_t m = members.size(); m-- > 0;) {
+            const ResidentLines &thread = threads[members[m]];
+            const std::uint64_t lo = round * kChunkLines;
+            if (lo >= thread.lines)
                 continue;
-            const std::size_t end =
-                std::min(begin + kChunkLines, lines[i].size());
-            Core &target = *cores_.at(specs[i].core);
-            for (std::size_t k = begin; k < end; ++k) {
-                target.hierarchy().warmLine(lines[i][k].addr,
-                                            lines[i][k].isCode, true);
-                shared_.warmLine(lines[i][k].addr);
+            // Positions [lo, pos) of this thread, newest (highest) first.
+            for (std::uint64_t pos = std::min(lo + kChunkLines, thread.lines);
+                 pos > lo;) {
+                while (thread.starts[run[m] - 1] >= pos)
+                    --run[m];
+                const std::size_t r = run[m] - 1;
+                const ResidentRange &range = thread.ranges[r];
+                const std::uint64_t from = std::max(lo, thread.starts[r]);
+                if (keep(range)) {
+                    for (std::uint64_t k = pos - thread.starts[r];
+                         k-- > from - thread.starts[r];)
+                        if (!fill.place(range.at(k)))
+                            return;
+                }
+                pos = from;
             }
-            more = true;
         }
     }
 }
 
+} // namespace
+
 void
-ChipSim::warmThreadCaches(std::uint32_t core, const BenchmarkProfile &profile,
-                          const AddressSpace &space)
+ChipSim::warmAllCaches(const std::vector<WarmSpec> &specs)
 {
-    warmAllCaches({WarmSpec{&profile, space, core}});
+    std::vector<ResidentLines> threads(specs.size());
+    std::vector<std::vector<std::size_t>> by_core(cores_.size());
+    std::vector<std::size_t> all(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ResidentLines &thread = threads[i];
+        TraceGenerator::forEachResidentRange(
+            *specs[i].profile, specs[i].space, config_.llc.sizeBytes,
+            [&](const ResidentRange &range) {
+                thread.ranges.push_back(range);
+                thread.starts.push_back(thread.lines);
+                thread.lines += range.lines;
+            });
+        by_core.at(specs[i].core).push_back(i);
+        all[i] = i;
+    }
+
+    const auto any = [](const ResidentRange &) { return true; };
+    fillNewestFirst(shared_.llc(), threads, all, any);
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (by_core[c].empty())
+            continue;
+        PrivateHierarchy &h = cores_[c]->hierarchy();
+        fillNewestFirst(h.l2(), threads, by_core[c], any);
+        fillNewestFirst(h.l1i(), threads, by_core[c],
+                        [](const ResidentRange &r) { return r.isCode; });
+        fillNewestFirst(h.l1d(), threads, by_core[c],
+                        [](const ResidentRange &r) { return !r.isCode; });
+    }
 }
 
 void

@@ -224,17 +224,26 @@ class ChipSim
     /**
      * Functional cache warmup (sampled-simulation style): install every
      * thread's cache-resident working set into its core's private
-     * hierarchy and the shared LLC, in zero simulated time. Installation
-     * is interleaved across threads in chunks so that shared-cache (LLC)
-     * capacity pressure evicts every thread's coldest lines evenly rather
-     * than wiping out whichever thread was installed first. Streaming and
+     * hierarchy and the shared LLC, in zero simulated time. Streaming and
      * larger-than-LLC regions are skipped — missing is their steady state.
+     *
+     * The state is that of an install order interleaved across threads in
+     * 128-line chunks (threads in @p specs order within a chunk, each
+     * thread's lines in forEachResidentRange order), so that LLC capacity
+     * pressure evicts every thread's coldest lines evenly rather than
+     * wiping out whichever thread was installed first. The LLC receives
+     * every line, a core's L2 its threads' lines, its L1I their code lines
+     * and its L1D their data lines. By the LRU stack property each cache
+     * is built newest first from that order, stopping once every set is
+     * full (SetAssocCache::NewestFirstFill): the same lines, LRU stamps
+     * and clocks as installing them one by one, with no per-line list.
+     * The way a line sits in is not part of that state (nothing depends
+     * on it); saveState bytes may differ from one-by-one installation.
+     *
+     * Every cache it fills must be untouched: call it once, on a freshly
+     * built chip, before any access. A used cache fails it with an error.
      */
     void warmAllCaches(const std::vector<WarmSpec> &specs);
-
-    /** Convenience wrapper for a single thread. */
-    void warmThreadCaches(std::uint32_t core, const BenchmarkProfile &profile,
-                          const AddressSpace &space);
 
     /**
      * Run a multi-program workload to completion: every thread executes its

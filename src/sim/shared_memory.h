@@ -36,6 +36,8 @@ class SharedMemory : public MemorySystem
     void warmLine(Addr addr) { llc_.install(addr); }
 
     const SetAssocCache &llc() const { return llc_; }
+    /** Mutable LLC, for functional warmup (ChipSim::warmAllCaches). */
+    SetAssocCache &llc() { return llc_; }
     const DramModel &dram() const { return dram_; }
     const Crossbar &crossbar() const { return xbar_; }
 

@@ -149,6 +149,19 @@ TraceGenerator::forEachResidentLine(
     std::uint64_t max_region_bytes,
     const std::function<void(Addr, bool)> &visit)
 {
+    forEachResidentRange(profile, space, max_region_bytes,
+                         [&](const ResidentRange &range) {
+                             for (std::uint64_t k = 0; k < range.lines; ++k)
+                                 visit(range.at(k), range.isCode);
+                         });
+}
+
+void
+TraceGenerator::forEachResidentRange(
+    const BenchmarkProfile &profile, const AddressSpace &space,
+    std::uint64_t max_region_bytes,
+    const std::function<void(const ResidentRange &)> &visit)
+{
     // Largest qualifying region first, so the hottest (smallest) regions
     // end up most recently used after installation.
     std::vector<std::size_t> order;
@@ -160,28 +173,30 @@ TraceGenerator::forEachResidentLine(
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return profile.regions[a].bytes > profile.regions[b].bytes;
     });
+    const auto emit = [&](const ResidentRange &range) {
+        if (range.lines > 0)
+            visit(range);
+    };
     for (const std::size_t idx : order) {
         const MemRegion &region = profile.regions[idx];
         // Lines are visited from the cold (high) end down to the hot (low)
         // end, so after LRU installation the hottest lines are the most
-        // recently used. Threads with partially shared data touch both
-        // placements.
+        // recently used. The walk starts one line below the region's end
+        // (unaligned when the size is not a multiple of the line size) and
+        // covers bytes / kLineSize lines. Threads with partially shared
+        // data touch both placements.
+        const std::uint64_t lines = region.bytes / kLineSize;
         if (space.sharedProb > 0.0) {
             const Addr shared = jitteredRegionBase(space.sharedBase, idx);
-            for (Addr offset = region.bytes; offset >= kLineSize;
-                 offset -= kLineSize)
-                visit(shared + offset - kLineSize, false);
+            emit({shared + region.bytes - kLineSize, lines, true, false});
         }
         if (space.sharedProb < 1.0) {
             const Addr base = jitteredRegionBase(space.privateBase, idx);
-            for (Addr offset = region.bytes; offset >= kLineSize;
-                 offset -= kLineSize)
-                visit(base + offset - kLineSize, false);
+            emit({base + region.bytes - kLineSize, lines, true, false});
         }
     }
-    for (Addr offset = 0; offset < profile.codeFootprint;
-         offset += kLineSize)
-        visit(space.privateBase + offset, true);
+    emit({space.privateBase,
+          (profile.codeFootprint + kLineSize - 1) / kLineSize, false, true});
 }
 
 MicroOp

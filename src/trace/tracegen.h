@@ -41,6 +41,25 @@ struct AddressSpace
 };
 
 /**
+ * A run of consecutive resident lines (see
+ * TraceGenerator::forEachResidentRange): @c lines addresses, starting at
+ * @c first and stepping one line down (@c descending) or up.
+ */
+struct ResidentRange
+{
+    Addr first = 0;
+    std::uint64_t lines = 0;
+    bool descending = false;
+    bool isCode = false;
+
+    /** The address of the @p k-th line of the run. */
+    Addr at(std::uint64_t k) const
+    {
+        return descending ? first - k * kLineSize : first + k * kLineSize;
+    }
+};
+
+/**
  * Generates the dynamic micro-op stream of one simulated software thread.
  *
  * Generation is purely incremental (O(1) state per region) and fully
@@ -109,6 +128,20 @@ class TraceGenerator
                         const AddressSpace &space,
                         std::uint64_t max_region_bytes,
                         const std::function<void(Addr, bool)> &visit);
+
+    /**
+     * The same enumeration as forEachResidentLine, as contiguous runs
+     * (one per region placement, then the code footprint; empty runs are
+     * not visited). Expanding the runs in order with ResidentRange::at
+     * gives forEachResidentLine's addresses, in its order — the single
+     * definition of that order.
+     */
+    static void
+    forEachResidentRange(const BenchmarkProfile &profile,
+                         const AddressSpace &space,
+                         std::uint64_t max_region_bytes,
+                         const std::function<void(const ResidentRange &)>
+                             &visit);
 
   private:
     Addr regionBase(std::size_t region_idx, bool shared) const;

@@ -86,17 +86,13 @@ class PrivateHierarchy
     const SetAssocCache &l1i() const { return l1i_; }
     const SetAssocCache &l1d() const { return l1d_; }
     const SetAssocCache &l2() const { return l2_; }
+    /** Mutable caches, for functional warmup (ChipSim::warmAllCaches). */
+    SetAssocCache &l1i() { return l1i_; }
+    SetAssocCache &l1d() { return l1d_; }
+    SetAssocCache &l2() { return l2_; }
 
     /** Drop all cached state (used between independent simulations). */
     void invalidateAll();
-
-    /**
-     * Functional warmup: install @p addr into the private levels it would
-     * be resident in (L2 always; L1 only when the line plausibly fits,
-     * i.e. the owning region is small — the caller decides via
-     * @p also_l1). Zero simulated time, no statistics.
-     */
-    void warmLine(Addr addr, bool is_instr, bool also_l1);
 
     /** Serialize/restore the mutable state (all three caches and the
      * MSHR occupancy ring). */

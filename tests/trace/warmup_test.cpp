@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the functional-warmup support: resident-line enumeration and
- * cache installation.
+ * Tests for the functional-warmup support: resident-line and resident-run
+ * enumeration, cache installation and the newest-first fill.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
+#include "common/log.h"
 #include "trace/tracegen.h"
 
 namespace smtflex {
@@ -123,6 +126,77 @@ TEST(ResidentLinesTest, SharedSpaceVisitsBothPlacements)
     EXPECT_EQ(data_lines, 2 * (16 * 1024 + 64 * 1024) / kLineSize);
 }
 
+/** forEachResidentRange expanded line by line. */
+std::vector<std::pair<Addr, bool>>
+expandRanges(const BenchmarkProfile &p, const AddressSpace &space,
+             std::uint64_t max_region_bytes)
+{
+    std::vector<std::pair<Addr, bool>> lines;
+    TraceGenerator::forEachResidentRange(
+        p, space, max_region_bytes, [&](const ResidentRange &range) {
+            EXPECT_GT(range.lines, 0u) << "empty runs are not visited";
+            for (std::uint64_t k = 0; k < range.lines; ++k)
+                lines.emplace_back(range.at(k), range.isCode);
+        });
+    return lines;
+}
+
+TEST(ResidentRangesTest, ExpandToTheResidentLinesInOrder)
+{
+    auto p = warmProfile();
+    p.regions = {{16 * 1024 + 40, 0.3, false},       // not line-multiple
+                 {64 * 1024, 0.3, false},
+                 {20 * 1024 * 1024, 0.2, false},     // oversized: skipped
+                 {32 * 1024 * 1024, 0.2, true}};     // streaming: skipped
+    p.codeFootprint = 8 * 1024 + 8; // a partial last code line
+    AddressSpace shared = AddressSpace::forThread(5);
+    shared.sharedBase = Addr{1} << 35;
+    shared.sharedProb = 0.25;
+    for (const AddressSpace &space : {AddressSpace::forThread(5), shared}) {
+        std::vector<std::pair<Addr, bool>> lines;
+        TraceGenerator::forEachResidentLine(
+            p, space, 8 * 1024 * 1024, [&](Addr addr, bool is_code) {
+                lines.emplace_back(addr, is_code);
+            });
+        EXPECT_EQ(expandRanges(p, space, 8 * 1024 * 1024), lines);
+
+        const std::size_t placements = space.sharedProb > 0.0 ? 2 : 1;
+        const std::size_t data = placements * (16 * 1024 + 64 * 1024) /
+            kLineSize;
+        ASSERT_EQ(lines.size(), data + 8 * 1024 / kLineSize + 1);
+        // The unaligned region comes second (largest first) and starts
+        // one line below its unaligned end.
+        const Addr first_small = lines[placements * 64 * 1024 / kLineSize]
+                                     .first;
+        EXPECT_EQ(first_small % kLineSize, 40u);
+        EXPECT_EQ(lines.back(),
+                  std::make_pair(space.privateBase + 8 * 1024, true));
+    }
+}
+
+TEST(ResidentRangesTest, RunsAreContiguousAndTyped)
+{
+    AddressSpace space = AddressSpace::forThread(2);
+    space.sharedBase = Addr{1} << 35;
+    space.sharedProb = 0.5;
+    std::vector<ResidentRange> runs;
+    TraceGenerator::forEachResidentRange(
+        warmProfile(), space, 8 * 1024 * 1024,
+        [&](const ResidentRange &range) { runs.push_back(range); });
+    // Two placements of the two resident regions, then the code.
+    ASSERT_EQ(runs.size(), 5u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_TRUE(runs[i].descending);
+        EXPECT_FALSE(runs[i].isCode);
+    }
+    EXPECT_EQ(runs[0].lines, 64u * 1024 / kLineSize);
+    EXPECT_EQ(runs[2].lines, 16u * 1024 / kLineSize);
+    EXPECT_EQ(runs[4].first, space.privateBase);
+    EXPECT_FALSE(runs[4].descending);
+    EXPECT_TRUE(runs[4].isCode);
+    EXPECT_EQ(runs[1].at(1) + kLineSize, runs[1].at(0));
+}
+
 TEST(CacheInstallTest, InstallMakesLinesResidentWithoutStats)
 {
     SetAssocCache cache("w", {32 * 1024, 4});
@@ -155,6 +229,53 @@ TEST(CacheInstallTest, InstallOverDirtyLineDropsItSilently)
     cache.install(2 * 64); // evicts the dirty LRU silently
     EXPECT_EQ(cache.stats().writebacks, 0u);
     EXPECT_TRUE(cache.contains(2 * 64));
+}
+
+TEST(NewestFirstFillTest, MatchesInstallsInReverse)
+{
+    // One set, two ways: installs 0,1,2,1 leave 2 (stamp 3) and 1 (4).
+    SetAssocCache installed("tiny", {128, 2});
+    for (const Addr line : {0, 1, 2, 1})
+        installed.install(line * 64);
+    SetAssocCache filled("tiny", {128, 2});
+    SetAssocCache::NewestFirstFill fill(filled, 4);
+    EXPECT_TRUE(fill.place(1 * 64));
+    EXPECT_FALSE(fill.place(2 * 64)) << "set full: the walk may stop";
+    for (SetAssocCache *cache : {&installed, &filled}) {
+        EXPECT_FALSE(cache->contains(0 * 64));
+        EXPECT_TRUE(cache->contains(1 * 64));
+        EXPECT_TRUE(cache->contains(2 * 64));
+        EXPECT_EQ(cache->stats().accesses, 0u);
+    }
+    // Victim choice agrees: line 2 is the LRU line in both.
+    installed.access(3 * 64, false);
+    filled.access(3 * 64, false);
+    EXPECT_FALSE(installed.contains(2 * 64));
+    EXPECT_FALSE(filled.contains(2 * 64));
+    EXPECT_TRUE(filled.contains(1 * 64));
+}
+
+TEST(NewestFirstFillTest, SkipsADuplicateOfANewerInstall)
+{
+    SetAssocCache cache("tiny", {128, 2});
+    SetAssocCache::NewestFirstFill fill(cache, 3);
+    EXPECT_TRUE(fill.place(1 * 64));
+    EXPECT_TRUE(fill.place(1 * 64)) << "older copy: skipped, set not full";
+    EXPECT_FALSE(fill.place(0 * 64));
+    EXPECT_TRUE(cache.contains(0 * 64));
+}
+
+TEST(NewestFirstFillTest, RefusesAUsedCacheNamingIt)
+{
+    SetAssocCache cache("l1d-core3", {128, 2});
+    cache.access(0, false);
+    try {
+        SetAssocCache::NewestFirstFill fill(cache, 1);
+        FAIL() << "a used cache was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("l1d-core3"),
+                  std::string::npos);
+    }
 }
 
 } // namespace
