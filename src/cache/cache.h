@@ -12,6 +12,7 @@
 #ifndef SMTFLEX_CACHE_CACHE_H
 #define SMTFLEX_CACHE_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,7 +24,8 @@
 namespace smtflex {
 
 /** Geometry of one cache. Sizes need not be powers of two (the paper uses
- * 6 KB and 48 KB small-core caches); the set index uses modulo placement. */
+ * 6 KB and 48 KB small-core caches); the set index uses modulo placement.
+ * The line size must be a power of two. */
 struct CacheGeometry
 {
     std::uint64_t sizeBytes = 0;
@@ -32,6 +34,54 @@ struct CacheGeometry
 
     std::uint64_t numLines() const { return sizeBytes / lineSize; }
     std::uint64_t numSets() const { return numLines() / assoc; }
+};
+
+/**
+ * The set of a byte address, (addr / lineSize) % numSets, without a
+ * division: the line number is a shift, and the modulo is a mask for a
+ * power-of-two set count, else an exact multiply-high reduction. With
+ * magic = floor(2^64 / numSets), q = (line * magic) >> 64 is floor(line /
+ * numSets) or one less, so line - q * numSets lies in [0, 2 numSets) and
+ * one conditional subtraction makes it exact for every 64-bit line.
+ */
+class SetIndex
+{
+  public:
+    /** @p line_size a power of two of at least 2, @p num_sets > 0; else
+     * fatal(). */
+    SetIndex(std::uint32_t line_size, std::uint64_t num_sets);
+
+    /** The line number of byte address @p addr. */
+    std::uint64_t line(Addr addr) const { return addr >> lineShift_; }
+
+    /** The set of line number @p line. */
+    std::uint64_t setOfLine(std::uint64_t line) const
+    {
+        if (mask_ != kNoMask)
+            return line & mask_;
+        const auto q = static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(line) * magic_) >> 64);
+        const std::uint64_t r = line - q * numSets_;
+        return r >= numSets_ ? r - numSets_ : r;
+    }
+
+    /** The set of byte address @p addr. */
+    std::uint64_t operator()(Addr addr) const
+    {
+        return setOfLine(line(addr));
+    }
+
+    /** The line-size shift: a line number's byte address is line << it. */
+    unsigned lineShift() const { return lineShift_; }
+
+  private:
+    static constexpr std::uint64_t kNoMask = ~std::uint64_t{0};
+
+    unsigned lineShift_;
+    std::uint64_t numSets_;
+    /** numSets - 1 for a power-of-two set count, else kNoMask. */
+    std::uint64_t mask_;
+    std::uint64_t magic_ = 0;
 };
 
 /** Aggregate statistics of one cache instance. */
@@ -147,21 +197,35 @@ class SetAssocCache : public telemetry::StatsProvider<CacheStats>
     void loadState(ckpt::Reader &r);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
-    };
+    /** The tag of an invalid way. No line number reaches it: line numbers
+     * are addresses shifted right by at least one bit. */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+    /** Flag bits of bits_. */
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kPrefetched = 2;
 
-    std::uint64_t setIndex(Addr line_addr) const;
+    /** The first way of @p line's set in the flat arrays. */
+    std::size_t setBase(std::uint64_t line) const
+    {
+        return static_cast<std::size_t>(index_.setOfLine(line)) *
+            geometry_.assoc;
+    }
+    /** The way of the set at @p base holding @p line, or assoc. */
+    std::uint32_t findWay(std::size_t base, std::uint64_t line) const;
+    /** The replacement victim of the set at @p base: its last invalid
+     * way, else its first way with the smallest LRU stamp. */
+    std::uint32_t victimWay(std::size_t base) const;
 
     std::string name_;
     CacheGeometry geometry_;
     std::uint64_t numSets_;
-    std::vector<Line> lines_; // numSets_ x assoc, row-major
+    SetIndex index_;
+    // The tag store as flat numSets_ x assoc row-major arrays: per way the
+    // line number (kInvalidTag when invalid), the LRU stamp, and the
+    // dirty/prefetched flags.
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<std::uint8_t> bits_;
     std::uint64_t lruClock_ = 0;
 };
 

@@ -13,9 +13,22 @@
 #define SMTFLEX_COMMON_RNG_H
 
 #include <array>
+#include <bit>
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 
 namespace smtflex {
+
+/**
+ * The inverse-CDF denominator of a geometric draw with mean @p mean (> 1)
+ * over {1, 2, ...}: log(1 - p) with success probability p = 1/mean.
+ */
+inline double
+geometricLogQ(double mean)
+{
+    return std::log1p(-1.0 / mean);
+}
 
 /**
  * xoshiro256** pseudo-random generator with convenience distributions.
@@ -31,25 +44,66 @@ class Rng
     explicit Rng(std::uint64_t seed, std::uint64_t stream = 0);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        // 53 top bits -> [0, 1) with full double precision.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0). */
-    std::uint64_t nextRange(std::uint64_t bound);
+    std::uint64_t nextRange(std::uint64_t bound)
+    {
+        assert(bound > 0);
+        // Multiply-shift range reduction; bias is negligible for our
+        // bounds (all far below 2^48) and determinism is what matters.
+        const unsigned __int128 product =
+            static_cast<unsigned __int128>(next()) * bound;
+        return static_cast<std::uint64_t>(product >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive (lo <= hi). */
     std::int64_t nextInt(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial: true with probability @p p. */
-    bool nextBool(double p);
+    bool nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /**
      * Geometric distribution over {1, 2, ...} with given mean (mean >= 1).
      * Used for dependency distances and basic-block lengths.
      */
-    std::uint32_t nextGeometric(double mean);
+    std::uint32_t nextGeometric(double mean)
+    {
+        assert(mean >= 1.0);
+        return mean == 1.0 ? 1 : nextGeometricLogQ(geometricLogQ(mean));
+    }
+
+    /**
+     * nextGeometric() for a mean above 1 whose geometricLogQ() is
+     * @p log_q, so a caller drawing many times from one mean computes the
+     * logarithm once.
+     */
+    std::uint32_t nextGeometricLogQ(double log_q);
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double nextGaussian();

@@ -74,6 +74,14 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     cdfIntAlu_ = cdfStore_ + mix.intAlu;
     cdfIntMul_ = cdfIntAlu_ + mix.intMul;
     cdfFp_ = cdfIntMul_ + mix.fp;
+    depLogQ_ = geometricLogQ(profile.meanDepDist);
+    // Data regions sit one-or-more strides above the code segment (which
+    // occupies the base of the private segment), at jittered offsets.
+    for (std::size_t i = 0; i < profile.regions.size(); ++i) {
+        privateRegionBase_.push_back(
+            jitteredRegionBase(space_.privateBase, i));
+        sharedRegionBase_.push_back(jitteredRegionBase(space_.sharedBase, i));
+    }
     fetchAddr_ = space_.privateBase;
 }
 
@@ -84,16 +92,6 @@ TraceGenerator::reset()
     std::fill(streamCursor_.begin(), streamCursor_.end(), 0);
     fetchAddr_ = space_.privateBase;
     generated_ = 0;
-}
-
-Addr
-TraceGenerator::regionBase(std::size_t region_idx, bool shared) const
-{
-    // Data regions sit one-or-more strides above the code segment (which
-    // occupies the base of the private segment), at jittered offsets.
-    return jitteredRegionBase(shared ? space_.sharedBase
-                                     : space_.privateBase,
-                              region_idx);
 }
 
 Addr
@@ -114,6 +112,8 @@ TraceGenerator::nextDataAddr()
 
     const bool shared =
         space_.sharedProb > 0.0 && rng_.nextBool(space_.sharedProb);
+    const Addr base =
+        shared ? sharedRegionBase_[idx] : privateRegionBase_[idx];
 
     if (region.streaming) {
         // Sequential word-granularity walk, wrapping at the region end:
@@ -124,7 +124,7 @@ TraceGenerator::nextDataAddr()
         const std::uint64_t words = region.bytes / 8;
         const std::uint64_t word = streamCursor_[idx];
         streamCursor_[idx] = (word + 1) % words;
-        return regionBase(idx, shared) + word * 8;
+        return base + word * 8;
     }
     // Skewed random reuse: accesses concentrate towards the region's low
     // addresses (the "hot end"), giving the convex miss-rate-vs-capacity
@@ -139,8 +139,7 @@ TraceGenerator::nextDataAddr()
     // Random offset within the line (does not affect cache behaviour but
     // keeps addresses realistic).
     const Addr offset = rng_.nextRange(kLineSize / 8) * 8;
-    return regionBase(idx, shared) + std::min(line, lines - 1) * kLineSize +
-        offset;
+    return base + std::min(line, lines - 1) * kLineSize + offset;
 }
 
 void
@@ -221,7 +220,9 @@ TraceGenerator::next()
 
     // Register dependency distance.
     if (!rng_.nextBool(profile_->depNoneProb)) {
-        const std::uint32_t dist = rng_.nextGeometric(profile_->meanDepDist);
+        const std::uint32_t dist = profile_->meanDepDist == 1.0
+            ? 1
+            : rng_.nextGeometricLogQ(depLogQ_);
         op.depDist = static_cast<std::uint8_t>(std::min<std::uint32_t>(
             dist, 255));
     }

@@ -144,7 +144,6 @@ class TraceGenerator
                              &visit);
 
   private:
-    Addr regionBase(std::size_t region_idx, bool shared) const;
     Addr nextDataAddr();
 
     const BenchmarkProfile *profile_;
@@ -159,6 +158,13 @@ class TraceGenerator
     Addr fetchAddr_ = 0;
     /** Cumulative class thresholds derived from the mix. */
     double cdfLoad_, cdfStore_, cdfIntAlu_, cdfIntMul_, cdfFp_;
+    /** geometricLogQ() of the profile's mean dependency distance (unused
+     * when the mean is 1). */
+    double depLogQ_;
+    /** Jittered base of each data region in the private and the shared
+     * segment (fixed by the profile and the address space). */
+    std::vector<Addr> privateRegionBase_;
+    std::vector<Addr> sharedRegionBase_;
     InstrCount generated_ = 0;
 };
 

@@ -31,6 +31,16 @@ Core::Core(const CoreParams &params, std::uint32_t core_id,
     contexts_.resize(num_contexts);
     for (auto &ctx : contexts_)
         ctx.rob.resize(queue_capacity);
+    setActiveContexts(0);
+}
+
+void
+Core::setActiveContexts(std::uint32_t active)
+{
+    activeContexts_ = active;
+    // Static partitioning among the contexts that currently have threads
+    // (Raasch & Reinhardt); a lone thread gets the whole window.
+    robPartition_ = std::max(4u, params_.robSize / std::max(1u, active));
 }
 
 void
@@ -43,6 +53,7 @@ Core::attachThread(std::uint32_t slot, ThreadSource *thread)
     if (!thread)
         fatal("Core ", params_.name, ": attach of null thread");
     contexts_[slot].thread = thread;
+    setActiveContexts(activeContexts_ + 1);
 }
 
 ThreadSource *
@@ -53,6 +64,7 @@ Core::detachThread(std::uint32_t slot)
     Context &ctx = contexts_[slot];
     ThreadSource *old = ctx.thread;
     ctx.thread = nullptr;
+    setActiveContexts(activeContexts_ - (old != nullptr));
     // Drop the staged (never dispatched) op; in-flight ops keep retiring to
     // the detached thread through the InFlightOp::thread pointers.
     if (ctx.hasStaged && old)
@@ -68,15 +80,6 @@ Core::threadAt(std::uint32_t slot) const
     if (slot >= contexts_.size())
         fatal("Core ", params_.name, ": bad slot ", slot);
     return contexts_[slot].thread;
-}
-
-std::uint32_t
-Core::activeContexts() const
-{
-    std::uint32_t n = 0;
-    for (const auto &ctx : contexts_)
-        n += (ctx.thread != nullptr);
-    return n;
 }
 
 bool
@@ -173,15 +176,15 @@ Core::retireCycle(std::uint32_t budget)
     const std::uint32_t n = numContexts();
     const std::uint32_t start = retireRotor_++ % n;
     for (std::uint32_t k = 0; k < n && retired < budget; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[wrapIndex(start + k, n)];
         while (retired < budget && ctx.robCount > 0) {
             InFlightOp &head = ctx.rob[ctx.robHead];
             if (head.completion > coreNow_)
                 break; // in-order retirement: head blocks the rest
             if (head.thread)
                 head.thread->onRetire(globalNow_);
-            ctx.robHead = (ctx.robHead + 1) %
-                static_cast<std::uint32_t>(ctx.rob.size());
+            if (++ctx.robHead == ctx.rob.size())
+                ctx.robHead = 0;
             --ctx.robCount;
             ++retired;
         }
@@ -196,20 +199,11 @@ Core::pushInFlight(Context &ctx, Cycle completion)
     const auto capacity = static_cast<std::uint32_t>(ctx.rob.size());
     if (ctx.robCount >= capacity)
         panic("Core ", params_.name, ": retirement queue overflow");
-    const std::uint32_t tail = (ctx.robHead + ctx.robCount) % capacity;
+    const std::uint32_t tail =
+        wrapIndex(ctx.robHead + ctx.robCount, capacity);
     ctx.rob[tail].completion = completion;
     ctx.rob[tail].thread = ctx.thread;
     ++ctx.robCount;
-}
-
-std::uint32_t
-Core::robPartitionSize() const
-{
-    // Static partitioning among the contexts that currently have threads
-    // (Raasch & Reinhardt); a lone thread gets the whole window.
-    const std::uint32_t active = std::max(1u, activeContexts());
-    const std::uint32_t share = params_.robSize / active;
-    return std::max(4u, share);
 }
 
 Cycle
@@ -232,24 +226,6 @@ Core::coreFromGlobal(Cycle global_future) const
     const double dc =
         static_cast<double>(global_future - globalNow_) * clockRatio_;
     return coreNow_ + static_cast<Cycle>(std::ceil(dc));
-}
-
-void
-Core::recordCompletion(Context &ctx, Cycle completion)
-{
-    ctx.depCompletion[ctx.opIndex % Context::kDepWindow] = completion;
-    ++ctx.opIndex;
-}
-
-Cycle
-Core::dependencyReady(const Context &ctx, const MicroOp &op)
-{
-    if (op.depDist == 0 || op.depDist >= Context::kDepWindow ||
-        op.depDist > ctx.opIndex) {
-        return 0;
-    }
-    const std::uint64_t producer = ctx.opIndex - op.depDist;
-    return ctx.depCompletion[producer % Context::kDepWindow];
 }
 
 namespace {
@@ -340,9 +316,11 @@ Core::loadState(
         stats_.dispatched[c] = r.u64();
     hierarchy_.loadState(r);
     r.count(contexts_.size(), "SMT contexts");
+    std::uint32_t active = 0;
     for (Context &ctx : contexts_) {
         const std::uint32_t tidx = r.u32();
         ctx.thread = tidx == kNoThread ? nullptr : thread_at(tidx);
+        active += ctx.thread != nullptr;
         loadMicroOp(r, ctx.staged);
         ctx.hasStaged = r.boolean();
         ctx.stagedFetchDone = r.boolean();
@@ -364,6 +342,7 @@ Core::loadState(
             op.thread = oidx == kNoThread ? nullptr : thread_at(oidx);
         }
     }
+    setActiveContexts(active);
     loadDerived(r);
 }
 

@@ -107,7 +107,7 @@ class Core : public telemetry::StatsProvider<CoreStats>
     ThreadSource *threadAt(std::uint32_t slot) const;
 
     /** Number of contexts with a thread attached. */
-    std::uint32_t activeContexts() const;
+    std::uint32_t activeContexts() const { return activeContexts_; }
 
     /** True when no thread is attached and no op is in flight. */
     bool quiescent() const;
@@ -267,23 +267,49 @@ class Core : public telemetry::StatsProvider<CoreStats>
     void pushInFlight(Context &ctx, Cycle completion);
 
     /** ROB partition size given current active contexts (>= 4). */
-    std::uint32_t robPartitionSize() const;
+    std::uint32_t robPartitionSize() const { return robPartition_; }
+
+    /** Set the attached-context count and the ROB partition size. */
+    void setActiveContexts(std::uint32_t active);
 
     /** Convert a future core-cycle ready time to a global cycle. */
     Cycle globalFromCore(Cycle core_future) const;
     /** Convert a future global completion to a core cycle. */
     Cycle coreFromGlobal(Cycle global_future) const;
 
+    /** @p i mod @p n for @p i < 2 @p n: a compare, not a division. */
+    static std::uint32_t wrapIndex(std::uint32_t i, std::uint32_t n)
+    {
+        return i >= n ? i - n : i;
+    }
+
     /** Record the completion of op production for dependencies. */
-    static void recordCompletion(Context &ctx, Cycle completion);
+    static void recordCompletion(Context &ctx, Cycle completion)
+    {
+        ctx.depCompletion[ctx.opIndex % Context::kDepWindow] = completion;
+        ++ctx.opIndex;
+    }
+
     /** Earliest core cycle the staged op's producer allows. */
-    static Cycle dependencyReady(const Context &ctx, const MicroOp &op);
+    static Cycle dependencyReady(const Context &ctx, const MicroOp &op)
+    {
+        if (op.depDist == 0 || op.depDist >= Context::kDepWindow ||
+            op.depDist > ctx.opIndex) {
+            return 0;
+        }
+        const std::uint64_t producer = ctx.opIndex - op.depDist;
+        return ctx.depCompletion[producer % Context::kDepWindow];
+    }
 
     CoreParams params_;
     std::uint32_t coreId_;
     MemorySystem *shared_;
     PrivateHierarchy hierarchy_;
     std::vector<Context> contexts_;
+    /** Contexts with a thread attached and the ROB partition size they
+     * imply, kept by attachThread(), detachThread() and loadState(). */
+    std::uint32_t activeContexts_ = 0;
+    std::uint32_t robPartition_ = 0;
 
     Cycle globalNow_ = 0;
     Cycle coreNow_ = 0;

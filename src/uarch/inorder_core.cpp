@@ -177,7 +177,7 @@ InOrderCore::coreCycle()
     const std::uint32_t n = numContexts();
     const std::uint32_t start = fetchRotor_++ % n;
     for (std::uint32_t k = 0; k < n; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[wrapIndex(start + k, n)];
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         if (ctx.stallUntil > coreNow_)

@@ -201,7 +201,7 @@ MorphCore::oooCycle()
     bool dispatched_any = false;
 
     for (std::uint32_t k = 0; k < n && budget > 0; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[wrapIndex(start + k, n)];
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         const std::uint32_t partition = robPartitionSize();
@@ -419,7 +419,7 @@ MorphCore::inOrderCycle()
     const std::uint32_t n = numContexts();
     const std::uint32_t start = fetchRotor_++ % n;
     for (std::uint32_t k = 0; k < n; ++k) {
-        Context &ctx = contexts_[(start + k) % n];
+        Context &ctx = contexts_[wrapIndex(start + k, n)];
         if (!ctx.thread && !ctx.hasStaged)
             continue;
         if (ctx.stallUntil > coreNow_)

@@ -250,7 +250,7 @@ OooCore::coreCycle()
     } else {
         const std::uint32_t start = fetchRotor_++ % n;
         for (std::uint32_t i = 0; i < n; ++i)
-            order[i] = (start + i) % n;
+            order[i] = wrapIndex(start + i, n);
     }
 
     bool dispatched_any = false;

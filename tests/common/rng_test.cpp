@@ -130,6 +130,43 @@ TEST(RngTest, GeometricMinimumIsOne)
         EXPECT_GE(rng.nextGeometric(4.0), 1u);
 }
 
+/** The geometric draw written out as the plain inverse CDF over {1, 2,
+ * ...} with success probability 1/mean, clamped to [1, 4096]. */
+std::uint32_t
+referenceGeometric(Rng &rng, double mean)
+{
+    if (mean == 1.0)
+        return 1;
+    const double p = 1.0 / mean;
+    const double u = rng.nextDouble();
+    double k = std::floor(std::log1p(-u) / std::log1p(-p)) + 1.0;
+    if (k < 1.0)
+        k = 1.0;
+    if (k > 4096.0)
+        k = 4096.0;
+    return static_cast<std::uint32_t>(k);
+}
+
+TEST(RngTest, GeometricWithSharedDenominatorMatchesInverseCdf)
+{
+    for (const double mean : {1.0, 1.5, 3.0, 7.25, 40.0}) {
+        Rng a(99, 5), b(99, 5), c(99, 5);
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint32_t want = referenceGeometric(a, mean);
+            ASSERT_EQ(b.nextGeometric(mean), want) << mean << " @" << i;
+            if (mean > 1.0) {
+                ASSERT_EQ(c.nextGeometricLogQ(geometricLogQ(mean)), want)
+                    << mean << " @" << i;
+            }
+        }
+        // The same number of raw draws (none at mean 1).
+        EXPECT_EQ(a.state(), b.state()) << mean;
+        if (mean > 1.0) {
+            EXPECT_EQ(a.state(), c.state()) << mean;
+        }
+    }
+}
+
 TEST(RngTest, GaussianMoments)
 {
     Rng rng(23);
