@@ -32,9 +32,6 @@ class SharedMemory : public MemorySystem
     Cycle fetchLine(Cycle now, Addr addr, std::uint32_t core_id) override;
     void writebackLine(Cycle now, Addr addr, std::uint32_t core_id) override;
 
-    /** Functional warmup: install @p addr into the LLC (no stats). */
-    void warmLine(Addr addr) { llc_.install(addr); }
-
     const SetAssocCache &llc() const { return llc_; }
     /** Mutable LLC, for functional warmup (ChipSim::warmAllCaches). */
     SetAssocCache &llc() { return llc_; }

@@ -1,9 +1,6 @@
 #include "trace_io.h"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <string>
 
 #include "common/log.h"
 
@@ -31,75 +28,6 @@ writeTrace(std::ostream &out, TraceGenerator &gen, InstrCount count)
     }
     if (!out)
         fatal("writeTrace: stream failure");
-}
-
-std::vector<MicroOp>
-readTrace(std::istream &in)
-{
-    std::string magic;
-    int version = 0;
-    InstrCount count = 0;
-    if (!(in >> magic >> version >> count) || magic != kMagic)
-        fatal("readTrace: not a smtflex trace");
-    if (version != kVersion)
-        fatal("readTrace: unsupported version ", version);
-    if (count == 0)
-        fatal("readTrace: empty trace");
-
-    std::vector<MicroOp> ops;
-    ops.reserve(count);
-    for (InstrCount i = 0; i < count; ++i) {
-        int cls = 0, mispredict = 0, cross = 0, dep = 0;
-        Addr addr = 0, fetch = 0;
-        if (!(in >> cls >> mispredict >> cross >> dep >> std::hex >> addr >>
-              fetch >> std::dec))
-            fatal("readTrace: truncated at op ", i);
-        if (cls < 0 || cls >= kNumOpClasses)
-            fatal("readTrace: bad op class ", cls, " at op ", i);
-        if (dep < 0 || dep > 255)
-            fatal("readTrace: bad dependency distance at op ", i);
-        MicroOp op;
-        op.cls = static_cast<OpClass>(cls);
-        op.mispredict = mispredict != 0;
-        op.fetchLineCross = cross != 0;
-        op.depDist = static_cast<std::uint8_t>(dep);
-        op.addr = addr;
-        op.fetchAddr = fetch;
-        ops.push_back(op);
-    }
-    return ops;
-}
-
-TraceReplayThread::TraceReplayThread(const std::vector<MicroOp> &ops,
-                                     bool loop)
-    : ops_(&ops), loop_(loop)
-{
-    if (ops.empty())
-        fatal("TraceReplayThread: empty trace");
-}
-
-MicroOp
-TraceReplayThread::nextOp()
-{
-    const MicroOp op = (*ops_)[next_];
-    ++next_;
-    if (next_ >= ops_->size() && loop_)
-        next_ = 0;
-    return op;
-}
-
-bool
-TraceReplayThread::hasWork()
-{
-    return loop_ || next_ < ops_->size();
-}
-
-void
-TraceReplayThread::onRetire(Cycle now)
-{
-    ++retired_;
-    if (retired_ == ops_->size())
-        finishCycle_ = now;
 }
 
 } // namespace smtflex

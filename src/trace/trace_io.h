@@ -1,11 +1,9 @@
 /**
  * @file
- * Micro-op trace capture and replay.
+ * Micro-op trace capture (`smtflex trace`).
  *
- * The synthetic generator is normally used directly, but trace files make
- * runs exchangeable and enable trace-driven studies (the workflow Sniper
- * users know): capture a thread's dynamic stream once, replay it on any
- * chip configuration.
+ * Dumps a thread's synthetic dynamic stream as text, so a run's input can
+ * be inspected, diffed or handed to other tools.
  *
  * Format: a small text header (magic, version, op count) followed by one
  * op per line: `cls mispredict fetchcross depdist addr fetchaddr`
@@ -16,50 +14,14 @@
 #define SMTFLEX_TRACE_TRACE_IO_H
 
 #include <iosfwd>
-#include <vector>
 
 #include "trace/tracegen.h"
-#include "trace/uop.h"
-#include "uarch/thread_source.h"
 
 namespace smtflex {
 
-/** Write @p count ops from @p gen to @p out. */
+/** Write @p count ops from @p gen to @p out; fatal() on an empty trace
+ * or a stream failure. */
 void writeTrace(std::ostream &out, TraceGenerator &gen, InstrCount count);
-
-/** Read a whole trace file; fatal() on malformed input. */
-std::vector<MicroOp> readTrace(std::istream &in);
-
-/**
- * A ThreadSource replaying a recorded trace, optionally in a loop.
- * Retires are counted so drivers can wait for completion.
- */
-class TraceReplayThread : public ThreadSource
-{
-  public:
-    /**
-     * @param ops the recorded trace (owned by the caller, must outlive
-     *        the thread).
-     * @param loop restart from the beginning when exhausted.
-     */
-    TraceReplayThread(const std::vector<MicroOp> &ops, bool loop);
-
-    MicroOp nextOp() override;
-    bool hasWork() override;
-    void onRetire(Cycle now) override;
-
-    InstrCount retired() const { return retired_; }
-    /** All ops issued at least once and retired. */
-    bool finishedOnePass() const { return retired_ >= ops_->size(); }
-    Cycle finishCycle() const { return finishCycle_; }
-
-  private:
-    const std::vector<MicroOp> *ops_;
-    bool loop_;
-    std::size_t next_ = 0;
-    InstrCount retired_ = 0;
-    Cycle finishCycle_ = kCycleNever;
-};
 
 } // namespace smtflex
 

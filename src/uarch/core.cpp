@@ -27,7 +27,7 @@ Core::Core(const CoreParams &params, std::uint32_t core_id,
     // Retirement queue capacity: the full ROB for OoO (one context may own
     // it all), a short pipeline buffer for in-order.
     const std::uint32_t queue_capacity =
-        params_.outOfOrder ? params_.robSize : 16;
+        params_.outOfOrder ? params_.robSize : kInOrderWindow;
     contexts_.resize(num_contexts);
     for (auto &ctx : contexts_)
         ctx.rob.resize(queue_capacity);

@@ -1,8 +1,10 @@
 /**
  * @file
  * Base class of the cycle-level core models: SMT context bookkeeping,
- * in-order retirement, clock-domain conversion, and statistics. The
- * out-of-order (OooCore) and in-order (InOrderCore) models derive from it.
+ * in-order retirement, clock-domain conversion, statistics, and the
+ * barrel-scheduled in-order issue stage. The out-of-order (OooCore) and
+ * in-order (InOrderCore) models derive from it; MorphCore derives from
+ * OooCore and runs this in-order stage in its in-order mode.
  */
 
 #ifndef SMTFLEX_UARCH_CORE_H
@@ -191,6 +193,10 @@ class Core : public telemetry::StatsProvider<CoreStats>
         const std::function<ThreadSource *(std::uint32_t)> &thread_at);
 
   protected:
+    /** Retirement-queue depth of an in-order core, and the in-order issue
+     * stage's limit on ops in flight per context. */
+    static constexpr std::uint32_t kInOrderWindow = 16;
+
     /** One retirement-queue entry. */
     struct InFlightOp
     {
@@ -262,6 +268,21 @@ class Core : public telemetry::StatsProvider<CoreStats>
     /** Retire up to @p budget completed ops across contexts (in order per
      * context, round-robin across contexts). Returns ops retired. */
     std::uint32_t retireCycle(std::uint32_t budget);
+
+    /**
+     * The in-order issue stage (barrel-style fine-grained MT): rotate the
+     * contexts every core cycle; the first ready one wins the whole issue
+     * group. Stateless apart from the contexts and the fetch rotor. It and
+     * its two helpers below are defined in inorder_core.cpp.
+     */
+    void inOrderCycle();
+
+    /** Issue up to `width` ops from @p ctx this cycle, in order.
+     * @return number of ops issued. */
+    std::uint32_t issueFrom(Context &ctx);
+
+    /** nextEventCycle() for a core running inOrderCycle(). */
+    Cycle inOrderNextEvent(Cycle global_now) const;
 
     /** Push an op into @p ctx's retirement queue. */
     void pushInFlight(Context &ctx, Cycle completion);

@@ -1,21 +1,21 @@
+/**
+ * @file
+ * The in-order issue stage: Core's barrel scheduler, in-order issue and
+ * its fast-forward analysis (shared by InOrderCore and MorphCore's
+ * in-order mode), and InOrderCore's cycle, which inlines it.
+ */
+
 #include "inorder_core.h"
 
 #include <algorithm>
 
 namespace smtflex {
 
-InOrderCore::InOrderCore(const CoreParams &params, std::uint32_t core_id,
-                         std::uint32_t num_contexts, MemorySystem *shared,
-                         double chip_freq_ghz)
-    : Core(params, core_id, num_contexts, shared, chip_freq_ghz)
-{
-}
-
 Cycle
-InOrderCore::nextEventCycle(Cycle global_now)
+Core::inOrderNextEvent(Cycle global_now) const
 {
     Cycle event = earliestHeadCompletion(); // core cycles
-    for (auto &ctx : contexts_) {
+    for (const auto &ctx : contexts_) {
         if (!ctx.thread && !ctx.hasStaged)
             continue; // retirement only, covered by the head completion
         if (ctx.stallUntil > coreNow_) {
@@ -25,7 +25,7 @@ InOrderCore::nextEventCycle(Cycle global_now)
             event = std::min(event, ctx.stallUntil);
             continue;
         }
-        if (ctx.robCount >= ctx.rob.size())
+        if (ctx.robCount >= kInOrderWindow)
             continue; // pipeline buffer full: drains at head completion
         if (ctx.hasStaged || (ctx.thread && ctx.thread->hasWork()))
             return global_now + 1; // may win the issue slot next cycle
@@ -34,15 +34,8 @@ InOrderCore::nextEventCycle(Cycle global_now)
     return globalCycleForCoreEvent(global_now, event);
 }
 
-void
-InOrderCore::onSkippedCoreCycles(Cycle core_cycles)
-{
-    // Barrel rotation advances every core cycle, issued or not.
-    fetchRotor_ += static_cast<std::uint32_t>(core_cycles);
-}
-
 std::uint32_t
-InOrderCore::issueFrom(Context &ctx)
+Core::issueFrom(Context &ctx)
 {
     std::uint32_t issued = 0;
     std::uint32_t ldst_left = params_.ldstUnits;
@@ -51,7 +44,7 @@ InOrderCore::issueFrom(Context &ctx)
 
     while (issued < params_.width) {
         // The retirement buffer is small; treat it as a structural limit.
-        if (ctx.robCount >= ctx.rob.size())
+        if (ctx.robCount >= kInOrderWindow)
             break;
 
         if (!ctx.hasStaged) {
@@ -168,10 +161,8 @@ InOrderCore::issueFrom(Context &ctx)
 }
 
 void
-InOrderCore::coreCycle()
+Core::inOrderCycle()
 {
-    retireCycle(params_.width);
-
     // Barrel scheduling: rotate every cycle; the first ready context wins
     // the whole issue group this cycle.
     const std::uint32_t n = numContexts();
@@ -191,6 +182,13 @@ InOrderCore::coreCycle()
         if (ctx.stallUntil <= coreNow_)
             break; // structural block with no sleep: slot is lost
     }
+}
+
+void
+InOrderCore::coreCycle()
+{
+    retireCycle(params_.width);
+    inOrderCycle();
 }
 
 } // namespace smtflex

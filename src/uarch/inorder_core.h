@@ -20,24 +20,26 @@
 
 namespace smtflex {
 
-/** 2-wide in-order core with 2-way fine-grained MT (Table 1 small). */
+/** 2-wide in-order core with 2-way fine-grained MT (Table 1 small). The
+ * issue stage is Core's in-order stage, shared with MorphCore. */
 class InOrderCore : public Core
 {
   public:
-    InOrderCore(const CoreParams &params, std::uint32_t core_id,
-                std::uint32_t num_contexts, MemorySystem *shared,
-                double chip_freq_ghz);
+    using Core::Core;
 
-    Cycle nextEventCycle(Cycle global_now) override;
+    Cycle nextEventCycle(Cycle global_now) override
+    {
+        return inOrderNextEvent(global_now);
+    }
 
   protected:
     void coreCycle() override;
-    void onSkippedCoreCycles(Cycle core_cycles) override;
 
-  private:
-    /** Issue up to `width` ops from @p ctx this cycle.
-     * @return number of ops issued. */
-    std::uint32_t issueFrom(Context &ctx);
+    void onSkippedCoreCycles(Cycle core_cycles) override
+    {
+        // Barrel rotation advances every core cycle, issued or not.
+        fetchRotor_ += static_cast<std::uint32_t>(core_cycles);
+    }
 };
 
 } // namespace smtflex

@@ -11,12 +11,17 @@
  * drains the pipeline (a fixed penalty). The paper argues SMT on a big
  * core achieves much of this flexibility without the mode machinery —
  * bench_ext_morphcore measures the comparison.
+ *
+ * The two modes run the very same stages as the fixed cores: OooCore's
+ * dispatchCycle() and Core's in-order issue stage. MorphCore adds only the
+ * mode controller (drain, switch penalty, switch count). It has no
+ * fast-forward analysis and ticks strictly.
  */
 
 #ifndef SMTFLEX_UARCH_MORPH_CORE_H
 #define SMTFLEX_UARCH_MORPH_CORE_H
 
-#include "uarch/core.h"
+#include "uarch/ooo_core.h"
 
 namespace smtflex {
 
@@ -33,7 +38,7 @@ struct MorphParams
  * A core that switches between out-of-order and in-order-SMT operation
  * based on the number of active threads.
  */
-class MorphCore : public Core
+class MorphCore : public OooCore
 {
   public:
     /** @param params the out-of-order personality (big/medium core);
@@ -47,55 +52,35 @@ class MorphCore : public Core
     /** Number of mode switches so far. */
     std::uint64_t modeSwitches() const { return modeSwitches_; }
 
-    Cycle nextEventCycle(Cycle global_now) override;
+    /** No fast-forward analysis: every cycle may act. */
+    Cycle nextEventCycle(Cycle global_now) override
+    {
+        return global_now + 1;
+    }
 
   protected:
     void coreCycle() override;
-    void onSkippedCoreCycles(Cycle core_cycles) override;
 
     void saveDerived(ckpt::Writer &w) const override
     {
         w.boolean(oooMode_);
         w.u64(stallUntilSwitch_);
         w.u64(modeSwitches_);
-        for (int c = 0; c < kNumOpClasses; ++c)
-            w.u32(fuLeft_[c]);
-        w.u64(skipRobStallContexts_);
-        w.u64(skipMshrStallContexts_);
+        OooCore::saveDerived(w);
     }
     void loadDerived(ckpt::Reader &r) override
     {
         oooMode_ = r.boolean();
         stallUntilSwitch_ = r.u64();
         modeSwitches_ = r.u64();
-        for (int c = 0; c < kNumOpClasses; ++c)
-            fuLeft_[c] = r.u32();
-        skipRobStallContexts_ = r.u64();
-        skipMshrStallContexts_ = r.u64();
+        OooCore::loadDerived(r);
     }
 
   private:
-    void oooCycle();
-    void inOrderCycle();
-    std::uint32_t issueInOrderFrom(Context &ctx);
-
-    Cycle nextEventOoo(Cycle global_now);
-    Cycle nextEventInOrder(Cycle global_now);
-
-    bool fuAvailable(OpClass cls) const;
-    void consumeFu(OpClass cls);
-    void resetFuBudgets();
-
     MorphParams morph_;
     bool oooMode_ = true;
     Cycle stallUntilSwitch_ = 0;
     std::uint64_t modeSwitches_ = 0;
-    std::uint32_t fuLeft_[kNumOpClasses] = {};
-
-    /** Stall-accrual counts cached by nextEventCycle for the immediately
-     * following skipTicks (see OooCore). */
-    std::uint64_t skipRobStallContexts_ = 0;
-    std::uint64_t skipMshrStallContexts_ = 0;
 };
 
 } // namespace smtflex

@@ -225,7 +225,12 @@ void
 OooCore::coreCycle()
 {
     retireCycle(params_.width);
+    dispatchCycle();
+}
 
+void
+OooCore::dispatchCycle()
+{
     resetFuBudgets();
     std::uint32_t budget = params_.width;
     const std::uint32_t n = numContexts();

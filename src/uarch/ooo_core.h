@@ -36,6 +36,10 @@ class OooCore : public Core
     void coreCycle() override;
     void onSkippedCoreCycles(Cycle core_cycles) override;
 
+    /** One core cycle of fetch arbitration and dispatch (everything but
+     * retirement); MorphCore runs it in its out-of-order mode. */
+    void dispatchCycle();
+
     void saveDerived(ckpt::Writer &w) const override
     {
         for (int c = 0; c < kNumOpClasses; ++c)

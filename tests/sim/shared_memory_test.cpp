@@ -35,7 +35,7 @@ TEST(SharedMemoryTest, LlcMissGoesToDramThenHits)
 TEST(SharedMemoryTest, WarmLineMakesFetchAnLlcHit)
 {
     SharedMemory mem(config());
-    mem.warmLine(0xabc040);
+    mem.llc().install(0xabc040);
     const Cycle done = mem.fetchLine(100, 0xabc040, 0);
     EXPECT_EQ(done, 100u + 4 + 20 + 4);
     EXPECT_EQ(mem.dram().stats().reads, 0u);
@@ -68,8 +68,8 @@ TEST(SharedMemoryTest, BankContentionSerialisesSameBank)
     // Warm both lines so only the crossbar/bank is exercised.
     const Addr a = 0 * kLineSize;
     const Addr b = 8 * kLineSize; // same LLC bank (8 banks)
-    mem.warmLine(a);
-    mem.warmLine(b);
+    mem.llc().install(a);
+    mem.llc().install(b);
     const Cycle first = mem.fetchLine(0, a, 0);
     const Cycle second = mem.fetchLine(0, b, 1);
     EXPECT_EQ(first, 0u + 4 + 20 + 4);
@@ -81,8 +81,8 @@ TEST(SharedMemoryTest, DifferentBanksProceedInParallel)
     SharedMemory mem(config());
     const Addr a = 0 * kLineSize;
     const Addr b = 1 * kLineSize;
-    mem.warmLine(a);
-    mem.warmLine(b);
+    mem.llc().install(a);
+    mem.llc().install(b);
     const Cycle first = mem.fetchLine(0, a, 0);
     const Cycle second = mem.fetchLine(0, b, 1);
     EXPECT_EQ(first, second);

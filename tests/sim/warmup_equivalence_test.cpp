@@ -225,7 +225,7 @@ TEST(WarmupEquivalenceCheckTest, WarmingAUsedChipFails)
     }
     {
         ChipSim chip(config);
-        chip.sharedMemory().warmLine(0x1000);
+        chip.sharedMemory().llc().install(0x1000);
         EXPECT_THROW(chip.warmAllCaches(specs), FatalError);
     }
 }

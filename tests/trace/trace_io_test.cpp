@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for trace capture/replay: round-trip fidelity, validation, and
- * replay-thread semantics.
+ * Tests for trace capture: the exact text writeTrace() emits, and its
+ * validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/log.h"
 #include "trace/spec_profiles.h"
@@ -17,38 +19,30 @@ namespace {
 
 TEST(TraceIoTest, RoundTripPreservesOps)
 {
+    // The header line, then one line per op, each formatted here from a
+    // second generator with the same seed.
     TraceGenerator gen(specProfile("soplex"), 3, 1,
                        AddressSpace::forThread(1));
     TraceGenerator ref(specProfile("soplex"), 3, 1,
                        AddressSpace::forThread(1));
     std::stringstream file;
     writeTrace(file, gen, 2000);
-    const auto ops = readTrace(file);
-    ASSERT_EQ(ops.size(), 2000u);
-    for (const MicroOp &op : ops) {
-        const MicroOp expect = ref.next();
-        EXPECT_EQ(op.cls, expect.cls);
-        EXPECT_EQ(op.mispredict, expect.mispredict);
-        EXPECT_EQ(op.fetchLineCross, expect.fetchLineCross);
-        EXPECT_EQ(op.depDist, expect.depDist);
-        EXPECT_EQ(op.addr, expect.addr);
-        EXPECT_EQ(op.fetchAddr, expect.fetchAddr);
+    std::string line;
+    ASSERT_TRUE(std::getline(file, line));
+    EXPECT_EQ(line, "smtflex-trace 1 2000");
+    for (int i = 0; i < 2000; ++i) {
+        const MicroOp op = ref.next();
+        char expect[80];
+        std::snprintf(expect, sizeof expect, "%d %d %d %d %llx %llx",
+                      static_cast<int>(op.cls), op.mispredict ? 1 : 0,
+                      op.fetchLineCross ? 1 : 0,
+                      static_cast<int>(op.depDist),
+                      static_cast<unsigned long long>(op.addr),
+                      static_cast<unsigned long long>(op.fetchAddr));
+        ASSERT_TRUE(std::getline(file, line)) << "op " << i;
+        ASSERT_EQ(line, expect) << "op " << i;
     }
-}
-
-TEST(TraceIoTest, RejectsGarbage)
-{
-    std::stringstream not_a_trace("hello world 3");
-    EXPECT_THROW(readTrace(not_a_trace), FatalError);
-
-    std::stringstream wrong_version("smtflex-trace 99 10");
-    EXPECT_THROW(readTrace(wrong_version), FatalError);
-
-    std::stringstream truncated("smtflex-trace 1 5\n0 0 0 1 100 0\n");
-    EXPECT_THROW(readTrace(truncated), FatalError);
-
-    std::stringstream bad_class("smtflex-trace 1 1\n9 0 0 1 100 0\n");
-    EXPECT_THROW(readTrace(bad_class), FatalError);
+    EXPECT_FALSE(std::getline(file, line)) << "trailing text: " << line;
 }
 
 TEST(TraceIoTest, EmptyTraceRejected)
@@ -59,40 +53,13 @@ TEST(TraceIoTest, EmptyTraceRejected)
     EXPECT_THROW(writeTrace(file, gen, 0), FatalError);
 }
 
-TEST(TraceReplayTest, NonLoopingStopsAtEnd)
+TEST(TraceIoTest, FailedStreamIsFatal)
 {
-    std::vector<MicroOp> ops(10);
-    TraceReplayThread thread(ops, /*loop=*/false);
-    int generated = 0;
-    while (thread.hasWork()) {
-        thread.nextOp();
-        ++generated;
-    }
-    EXPECT_EQ(generated, 10);
-    for (int i = 0; i < 10; ++i)
-        thread.onRetire(100 + i);
-    EXPECT_TRUE(thread.finishedOnePass());
-    EXPECT_EQ(thread.finishCycle(), 109u);
-}
-
-TEST(TraceReplayTest, LoopingWrapsAround)
-{
-    std::vector<MicroOp> ops(4);
-    for (int i = 0; i < 4; ++i)
-        ops[static_cast<std::size_t>(i)].depDist =
-            static_cast<std::uint8_t>(i);
-    TraceReplayThread thread(ops, /*loop=*/true);
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 4; ++i)
-            EXPECT_EQ(thread.nextOp().depDist, i);
-    }
-    EXPECT_TRUE(thread.hasWork());
-}
-
-TEST(TraceReplayTest, EmptyTraceRejected)
-{
-    const std::vector<MicroOp> none;
-    EXPECT_THROW(TraceReplayThread(none, false), FatalError);
+    TraceGenerator gen(specProfile("hmmer"), 1, 0,
+                       AddressSpace::forThread(0));
+    std::stringstream file;
+    file.setstate(std::ios::badbit);
+    EXPECT_THROW(writeTrace(file, gen, 10), FatalError);
 }
 
 } // namespace
